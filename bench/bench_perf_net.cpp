@@ -65,7 +65,8 @@ SessionFeed make_feed(const core::Fixture& fx, std::int64_t hours) {
   feed.meta.samples_per_hour = 12;
 
   const int sph = feed.meta.samples_per_hour;
-  const Period priced{window.begin - feed.meta.delay_hours, window.end};
+  const Period priced = core::priced_window(window, feed.meta.delay_hours,
+                                            feed.meta.delay_steps, sph);
   const market::PriceSet& prices = fx.prices_covering(priced, sph);
   std::vector<HubId> hubs;
   for (const core::Cluster& c : fx.clusters) {

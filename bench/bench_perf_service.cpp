@@ -51,8 +51,8 @@ std::int64_t drive(const core::Fixture& fx, const service::LiveConfig& config,
                    service::EventLogWriter* log) {
   service::LiveEngine live(fx, config, log);
   const int sph = config.samples_per_hour;
-  const Period priced{config.period.begin - config.delay_hours,
-                      config.period.end};
+  const Period priced = core::priced_window(
+      config.period, config.delay_hours, config.delay_steps, sph);
   const market::PriceSet& feed = fx.prices_covering(priced, sph);
 
   std::vector<HubId> hubs;
@@ -87,9 +87,10 @@ void BM_LiveIngest(benchmark::State& state) {
   const service::LiveConfig config = live_config(fx, state.range(0));
   // Materialize the lazy price history outside the timed loop - the
   // bench measures ingest, not first-touch synthesis.
-  (void)fx.prices_covering(Period{config.period.begin - config.delay_hours,
-                                  config.period.end},
-                           config.samples_per_hour);
+  (void)fx.prices_covering(
+      core::priced_window(config.period, config.delay_hours,
+                          config.delay_steps, config.samples_per_hour),
+      config.samples_per_hour);
   std::int64_t ticks = 0;
   std::int64_t steps = 0;
   for (auto _ : state) {

@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
   // The synthesized market doubles as the settlement feed (the
   // generator is window-invariant - the server's replay sees the same
   // hours), the trace as the demand feed.
-  const Period priced{window.begin - meta.delay_hours, window.end};
+  const Period priced = core::priced_window(window, meta.delay_hours,
+                                            meta.delay_steps, samples_per_hour);
   const market::PriceSet& prices =
       fixture.prices_covering(priced, samples_per_hour);
   std::vector<HubId> hubs;

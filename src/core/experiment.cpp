@@ -49,11 +49,11 @@ std::unique_ptr<Workload> make_workload(const Fixture& f, const ScenarioSpec& sp
 /// Everything the engine construction depends on. Two scenarios with
 /// equal keys (and no engine hooks) share one engine.
 struct EngineKey {
-  std::string cluster_tag;  ///< "" = fixture clusters; else the router name
+  std::vector<Cluster> clusters;
   bool enforce_p95 = true;
   int delay_hours = 1;
   int delay_steps = 0;
-  const market::PriceSet* routing_prices = nullptr;
+  const market::PriceSet* prices = nullptr;
   energy::EnergyModelParams energy;
 
   friend bool operator==(const EngineKey&, const EngineKey&) = default;
@@ -111,29 +111,32 @@ std::size_t Fixture::cheapest_cluster() const {
   return best;
 }
 
-namespace {
-
-/// The price window one spec needs: its workload period plus the front
-/// margin delayed routing reads (hour - delay).
-Period priced_window_of(const Fixture& fixture, const ScenarioSpec& spec) {
-  const Period p = spec.workload == WorkloadKind::kSynthetic39Month
-                       ? synthetic_window_of(spec)
-                       : fixture.trace.period();
-  // delay_steps replaces the hour delay: its front margin is that many
-  // native market intervals, rounded up to whole hours.
-  const int sph = market_samples_per_hour(spec);
-  const int margin = spec.delay_steps > 0 ? (spec.delay_steps + sph - 1) / sph
-                                          : spec.delay_hours;
-  return Period{p.begin - margin, p.end};
+RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
+                 Period workload_period) {
+  const RouterEntry& entry = RouterRegistry::instance().at(spec.router);
+  RunPlan plan;
+  plan.clusters =
+      entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
+  plan.engine.energy = spec.energy;
+  plan.engine.delay_hours = spec.delay_hours;
+  plan.engine.delay_steps = spec.delay_steps;
+  plan.engine.enforce_p95 = spec.enforce_p95 && !entry.forces_relaxed_p95;
+  plan.engine.capacity_factor = spec.capacity_factor;
+  plan.engine.pue_of = spec.pue_of;
+  // An explicit routing_prices override carries its own native interval.
+  const int sph = spec.routing_prices != nullptr
+                      ? spec.routing_prices->samples_per_hour
+                      : market_samples_per_hour(spec);
+  plan.priced = priced_window(workload_period, spec.delay_hours,
+                              spec.delay_steps, sph);
+  plan.router = entry.make(fixture, spec);
+  return plan;
 }
-
-}  // namespace
 
 std::vector<RunResult> run_scenarios(const Fixture& fixture,
                                      std::span<const ScenarioSpec> specs,
                                      const SweepOptions& options,
                                      SweepStats* stats) {
-  const RouterRegistry& registry = RouterRegistry::instance();
   SweepStats local;
   std::vector<RunResult> out(specs.size());
 
@@ -152,7 +155,8 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
   // Materialize the union of the fixture-priced windows up front - one
   // union window per requested market resolution - so every spec in the
   // sweep shares one PriceSet per resolution (maximal engine reuse) and
-  // short sweeps never build the full 39-month history.
+  // short sweeps never build the full 39-month history. This runs before
+  // plan_run calls any factory, so it derives each window itself.
   std::map<int, const market::PriceSet*> fixture_prices;
   {
     std::map<int, Period> needs;
@@ -174,7 +178,8 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
         continue;
       }
       const int sph = market_samples_per_hour(spec);
-      const Period w = priced_window_of(fixture, spec);
+      const Period w = priced_window(scenario_period(fixture, spec),
+                                     spec.delay_hours, spec.delay_steps, sph);
       const auto [it, inserted] = needs.emplace(sph, w);
       if (!inserted) {
         it->second.begin = std::min(it->second.begin, w.begin);
@@ -212,10 +217,11 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
-    const RouterEntry& entry = registry.at(spec.router);
-    const bool enforce = spec.enforce_p95 && !entry.forces_relaxed_p95;
-    // An explicit routing_prices override carries its own native
-    // interval; fixture-priced specs bill on the resolution the
+    RunPlan plan = plan_run(fixture, spec, scenario_period(fixture, spec));
+    // Every engine in the sweep shares the caller's taps (the same
+    // pointers sweep-wide, so tap identity never splits an EngineKey).
+    plan.engine.taps = options.taps;
+    // Fixture-priced specs bill on the resolution the
     // market_interval_minutes knob selects.
     const market::PriceSet& prices =
         spec.routing_prices != nullptr
@@ -234,23 +240,10 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
       ++local.workloads_built;
     }
 
-    EngineConfig cfg;
-    cfg.energy = spec.energy;
-    cfg.delay_hours = spec.delay_hours;
-    cfg.delay_steps = spec.delay_steps;
-    cfg.enforce_p95 = enforce;
-    cfg.capacity_factor = spec.capacity_factor;
-    cfg.pue_of = spec.pue_of;
-    // Every engine in the sweep shares the caller's taps (the same
-    // pointers sweep-wide, so tap identity never splits an EngineKey).
-    cfg.taps = options.taps;
-
     auto make_engine = [&] {
-      std::vector<Cluster> clusters =
-          entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
       ++local.engines_built;
-      return std::make_unique<SimulationEngine>(std::move(clusters), prices,
-                                                fixture.distances, cfg);
+      return std::make_unique<SimulationEngine>(
+          std::move(plan.clusters), prices, fixture.distances, plan.engine);
     };
 
     // Engine hooks are opaque std::functions - scenarios carrying them
@@ -260,8 +253,8 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
       private_engines.push_back(make_engine());
       engine = private_engines.back().get();
     } else {
-      EngineKey key{entry.clusters ? spec.router : std::string{}, enforce,
-                    spec.delay_hours, spec.delay_steps, &prices, spec.energy};
+      EngineKey key{plan.clusters, plan.engine.enforce_p95, spec.delay_hours,
+                    spec.delay_steps, &prices, spec.energy};
       auto found = std::find_if(engines.begin(), engines.end(),
                                 [&key](const auto& e) { return e.first == key; });
       if (found == engines.end()) {
@@ -275,7 +268,7 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
     cell.spec = &spec;
     cell.engine = engine;
     cell.workload = wit->second.get();
-    cell.router = entry.make(fixture, spec);
+    cell.router = std::move(plan.router);
     // Caller-supplied std::function state (observers, engine hooks) may
     // not be thread-safe; those cells stay on the calling thread. The
     // runner-owned StorageController is per-cell, so storage cells pool.

@@ -142,6 +142,29 @@ struct SweepOptions {
   obs::Taps taps;
 };
 
+/// One run's construction, resolved from its spec in one place: the
+/// scenario runner, the live engine and replay all build through it.
+struct RunPlan {
+  /// The fixture's clusters, or the router's override (see
+  /// RouterEntry::clusters).
+  std::vector<Cluster> clusters;
+  /// The spec's energy model, delays and engine hooks, with the 95/5
+  /// constraint off for routers that force it. No taps: callers add
+  /// their own.
+  EngineConfig engine;
+  /// The workload period plus the delayed-routing margin (priced_window
+  /// at the spec's market interval, or its routing_prices' own).
+  Period priced{0, 0};
+  std::unique_ptr<Router> router;
+};
+
+/// Resolves `spec` through the RouterRegistry for a run over
+/// `workload_period`. Throws std::invalid_argument for an unknown
+/// router, a config its factory rejects or a market interval that does
+/// not divide the hour.
+[[nodiscard]] RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
+                               Period workload_period);
+
 /// Runs one scenario against the fixture.
 [[nodiscard]] RunResult run_scenario(const Fixture& fixture,
                                      const ScenarioSpec& spec);

@@ -34,8 +34,6 @@ struct RouterEntry {
 
   /// Optional cluster-set override - e.g. static-cheapest consolidates
   /// every server into the target hub. Null = the fixture's clusters.
-  /// Note: run_scenarios caches engines for such routers per router
-  /// *name*, so the override must not depend on spec.config.
   std::function<std::vector<Cluster>(const Fixture&, const ScenarioSpec&)> clusters;
 };
 

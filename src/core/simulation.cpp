@@ -98,6 +98,7 @@ struct SimulationEngine::Session::State {
   int sph;
   Hours dt;
   int psph;
+  std::int64_t delay;  ///< routing delay in native market intervals
   energy::ClusterEnergyModel model;
 
   // Routing context buffers, bound once: the spans in `ctx` alias these
@@ -163,6 +164,8 @@ struct SimulationEngine::Session::State {
         sph(wl.steps_per_hour()),
         dt{1.0 / sph},
         psph(eng.prices_.samples_per_hour),
+        delay(routing_delay_intervals(eng.config_.delay_hours,
+                                      eng.config_.delay_steps, psph)),
         model(eng.config_.energy),
         demand(n_states, 0.0),
         price(n_clusters, 0.0),
@@ -187,14 +190,9 @@ SimulationEngine::Session SimulationEngine::begin(
     std::span<StepObserver* const> observers) const {
   const obs::Tracer::Span trace_begin =
       obs::maybe_span(config_.taps.tracer, "engine/begin", "engine");
-  const Period period = workload.period();
   const int psph = prices_.samples_per_hour;
-  // Front margin delayed routing reads: `delay_steps` native intervals
-  // round up to whole hours; otherwise the classic hour delay.
-  const int margin_hours =
-      config_.delay_steps > 0 ? (config_.delay_steps + psph - 1) / psph
-                              : config_.delay_hours;
-  const Period priced{period.begin - margin_hours, period.end};
+  const Period priced = priced_window(workload.period(), config_.delay_hours,
+                                      config_.delay_steps, psph);
   // The guard must check the WHOLE priced window: a price set covering
   // the start but ending early used to pass here and then blow up in
   // PriceSeries::at mid-run - after on_run_begin had fired and with
@@ -303,10 +301,6 @@ void SimulationEngine::Session::State::step_once() {
     cached_sub = -1;
     for (std::size_t c = 0; c < n_clusters; ++c) {
       if (psph == 1) {
-        // With delay_steps active an hourly interval IS the native
-        // interval, so the step delay degenerates to an hour delay.
-        const int delay =
-            config.delay_steps > 0 ? config.delay_steps : config.delay_hours;
         price[c] = prices.rt_at(clusters[c].hub, hour - delay).value();
         // Billing uses the concurrent price, not the stale routing price.
         bill_price[c] = prices.rt_at(clusters[c].hub, hour).value();
@@ -333,22 +327,16 @@ void SimulationEngine::Session::State::step_once() {
   }
   if (psph > 1) {
     // Sub-hourly market: prices refresh on the native interval, not
-    // the hour. Routing reads the same sub-interval of hour - delay
-    // (delay-stale reaction at market granularity) - or, under
-    // delay_steps, the interval exactly that many settlements back;
+    // the hour. Routing reads the settlement `delay` intervals back (an
+    // hour delay lands on the same sub-interval of hour - delay_hours);
     // billing stays concurrent. A workload stepping coarser than the
     // market bills at the step's time-mean price, exact since demand
     // is uniform within a step.
     const auto routing_price = [&](std::size_t c, int sub) {
-      if (config.delay_steps > 0) {
-        const std::int64_t abs_interval =
-            hour * psph + sub - config.delay_steps;
-        const HourIndex h = floor_div(abs_interval, psph);
-        const int s = static_cast<int>(abs_interval - h * psph);
-        return prices.rt_at(clusters[c].hub, h, s).value();
-      }
-      return prices.rt_at(clusters[c].hub, hour - config.delay_hours, sub)
-          .value();
+      const std::int64_t abs_interval = hour * psph + sub - delay;
+      const HourIndex h = floor_div(abs_interval, psph);
+      const int s = static_cast<int>(abs_interval - h * psph);
+      return prices.rt_at(clusters[c].hub, h, s).value();
     };
     if (sph >= psph) {
       const int sub = static_cast<int>((step % sph) * psph / sph);

@@ -54,6 +54,7 @@ struct EngineConfig {
   /// 5-minute settlement and 12 reproduces delay_hours = 1 exactly; the
   /// knob measures what price freshness buys over the paper's
   /// conservative one-hour staleness. 0 disables (use delay_hours).
+  /// The engine reads the two folded by routing_delay_intervals.
   int delay_steps = 0;
   bool enforce_p95 = true;  ///< apply the 95/5 constraints to the router
 
@@ -79,6 +80,27 @@ struct EngineConfig {
   /// (the default and the historical behavior).
   obs::Taps taps;
 };
+
+/// The routing delay in native market intervals - the one place the two
+/// delay knobs fold together: `delay_steps` intervals when set, else
+/// `delay_hours` whole hours of `samples_per_hour` intervals each.
+[[nodiscard]] constexpr std::int64_t routing_delay_intervals(
+    int delay_hours, int delay_steps, int samples_per_hour) noexcept {
+  return delay_steps > 0 ? delay_steps
+                         : std::int64_t{delay_hours} * samples_per_hour;
+}
+
+/// The window a run over `period` prices: the period plus the whole
+/// hours the delayed routing price reaches back (routing_delay_intervals
+/// rounded up to hours).
+[[nodiscard]] constexpr Period priced_window(Period period, int delay_hours,
+                                             int delay_steps,
+                                             int samples_per_hour) noexcept {
+  const std::int64_t delay =
+      routing_delay_intervals(delay_hours, delay_steps, samples_per_hour);
+  const std::int64_t margin = (delay + samples_per_hour - 1) / samples_per_hour;
+  return Period{period.begin - margin, period.end};
+}
 
 /// Per-interval, per-cluster energy in one flat row-major buffer (one
 /// allocation per run instead of one vector per row). Rows are metering

@@ -115,19 +115,8 @@ struct Server::Impl {
     const core::Fixture& fx =
         options.fixture != nullptr ? *options.fixture : *fixture;
     service::LiveConfig cfg;
-    cfg.router = meta.router;
-    cfg.router_config = meta.router_config;
-    cfg.period = meta.period;
-    cfg.steps_per_hour = meta.steps_per_hour;
-    cfg.samples_per_hour = meta.samples_per_hour;
-    cfg.energy = meta.energy;
-    cfg.enforce_p95 = meta.enforce_p95;
-    cfg.delay_hours = meta.delay_hours;
-    cfg.delay_steps = meta.delay_steps;
-    cfg.record_hourly_energy = meta.record_hourly_energy;
-    cfg.storage = meta.storage;
+    static_cast<service::SessionSpec&>(cfg) = meta;
     cfg.shadow_baseline = options.shadow_baseline;
-    cfg.telemetry_ewma_alpha = options.telemetry_ewma_alpha;
     cfg.taps = options.taps;
     log.emplace(options.log_path, options.taps);
     live = std::make_unique<service::LiveEngine>(fx, cfg, &*log);

@@ -66,7 +66,6 @@ struct ServerOptions {
   /// Forwarded to LiveConfig (the rest of the session config arrives
   /// in the SessionMeta frame).
   bool shadow_baseline = true;
-  double telemetry_ewma_alpha = 0.1;
 
   /// Pre-built fixture to serve sessions from (not owned; must outlive
   /// the server). A SessionMeta whose seed does not match its seed is a

@@ -150,6 +150,23 @@ constexpr std::size_t kHeaderSize = sizeof(kEventLogMagic) + 2 * sizeof(std::uin
 
 }  // namespace
 
+core::ScenarioSpec scenario_of(const SessionSpec& spec) {
+  // The check comes first: 60 / 9 would truncate to a valid-looking
+  // 6-minute market that no longer matches the 9-per-hour tick stream.
+  if (!divides_hour(spec.samples_per_hour)) {
+    throw std::invalid_argument("SessionSpec: samples_per_hour must divide 60");
+  }
+  core::ScenarioSpec out;
+  out.router = spec.router;
+  out.config = spec.router_config;
+  out.energy = spec.energy;
+  out.enforce_p95 = spec.enforce_p95;
+  out.delay_hours = spec.delay_hours;
+  out.delay_steps = spec.delay_steps;
+  out.market_interval_minutes = 60 / spec.samples_per_hour;
+  return out;
+}
+
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   // IEEE 802.3 (reflected polynomial 0xEDB88320), table-driven.
   static const std::array<std::uint32_t, 256> table = [] {

@@ -53,31 +53,47 @@ enum class RecordType : std::uint8_t {
   kStorageAction = 5,
 };
 
-/// The session's static configuration: everything replay needs to
-/// rebuild the fixture-derived environment (clusters, distances,
-/// router) and the engine config. Router configuration is restricted to
-/// the registry's value-typed configs (the RouterConfig variant);
-/// storage, when carried, must use an empty per-cluster override and a
-/// default PolicyConfig - the writer rejects specs it cannot round-trip
-/// exactly rather than logging a lossy approximation.
-struct SessionMeta {
-  std::uint64_t seed = 2009;        ///< Fixture::make seed
+/// One live session's run description: the declarative subset of a
+/// ScenarioSpec a stream can honour (no caller hooks, no price
+/// overrides) plus the stream's cadences. LiveConfig adds the runtime
+/// knobs to it, SessionMeta the fixture identity a log carries.
+struct SessionSpec {
   std::string router = "price-aware";
   core::RouterConfig router_config{};
-  Period period{0, 0};              ///< workload window (hours)
-  int steps_per_hour = 1;
-  int samples_per_hour = 1;         ///< native market interval
-  int delay_hours = 1;
-  int delay_steps = 0;
+  /// Workload window (absolute hours); required, must be non-empty.
+  Period period{0, 0};
+  int steps_per_hour = 12;    ///< demand cadence (12 = 5-minute steps)
+  int samples_per_hour = 12;  ///< native market interval of the tick stream
+  energy::EnergyModelParams energy;
   bool enforce_p95 = true;
+  int delay_hours = 1;
+  /// See EngineConfig::delay_steps (> 0 routes on the settlement
+  /// delay_steps native intervals back; 0 uses delay_hours).
+  int delay_steps = 0;
+  /// Attach a native-interval HourlyEnergyRecorder (per-interval rows in
+  /// RunResult::hourly_energy); replay attaches one too.
+  bool record_hourly_energy = false;
+  /// Battery storage behind every cluster (see core::StorageSpec; the
+  /// loggable subset only - empty per_cluster, default policy_config).
+  std::optional<core::StorageSpec> storage;
+};
+
+/// The ScenarioSpec a session runs as (router, config, energy model,
+/// 95/5 and delays at the tick stream's interval). Throws
+/// std::invalid_argument when samples_per_hour does not divide the hour.
+[[nodiscard]] core::ScenarioSpec scenario_of(const SessionSpec& spec);
+
+/// The session's static configuration as logged: its SessionSpec plus
+/// the fixture identity replay checks (seed and shape). Router
+/// configuration is restricted to the registry's value-typed configs
+/// (the RouterConfig variant); storage, when carried, must use an empty
+/// per-cluster override and a default PolicyConfig - the writer rejects
+/// specs it cannot round-trip exactly rather than logging a lossy
+/// approximation.
+struct SessionMeta : SessionSpec {
+  std::uint64_t seed = 2009;  ///< Fixture::make seed
   std::uint32_t n_states = 0;
   std::uint32_t n_clusters = 0;
-  energy::EnergyModelParams energy;
-  /// True when the live run attached a native-interval
-  /// HourlyEnergyRecorder; replay attaches one too so the RunResults
-  /// stay field-for-field comparable.
-  bool record_hourly_energy = false;
-  std::optional<core::StorageSpec> storage;
 };
 
 struct PriceTickRecord {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/router_registry.h"
 #include "core/routing.h"
 #include "market/hub.h"
 #include "obs/metrics.h"
@@ -14,24 +13,6 @@
 namespace cebis::service {
 
 namespace {
-
-/// The ScenarioSpec equivalent of a LiveConfig - what the scenario
-/// runner would build the clusters/router from, so live construction
-/// and batch replay go through the identical factories.
-core::ScenarioSpec spec_of(const LiveConfig& config) {
-  core::ScenarioSpec spec;
-  spec.router = config.router;
-  spec.config = config.router_config;
-  spec.energy = config.energy;
-  spec.enforce_p95 = config.enforce_p95;
-  spec.delay_hours = config.delay_hours;
-  spec.delay_steps = config.delay_steps;
-  if (config.samples_per_hour < 1 || !divides_hour(config.samples_per_hour)) {
-    throw std::invalid_argument("LiveEngine: samples_per_hour must divide 60");
-  }
-  spec.market_interval_minutes = 60 / config.samples_per_hour;
-  return spec;
-}
 
 /// Records each step's routing decision (per-cluster routed load) and,
 /// when storage is engaged, the batteries' state-of-charge deltas.
@@ -167,8 +148,8 @@ struct LiveEngine::Impl {
   std::unique_ptr<core::SimulationEngine> shadow_engine;
   std::unique_ptr<core::Router> shadow_router;
 
-  // Live-mode observability handles (inert when LiveConfig::metrics is
-  // null). Per-hub gap gauges are parallel to assembler.tracked().
+  // Live-mode observability handles (inert when LiveConfig::taps.metrics
+  // is null). Per-hub gap gauges are parallel to assembler.tracked().
   obs::Counter m_ticks;
   obs::Counter m_blocked;
   obs::Gauge g_seal_headroom;
@@ -202,55 +183,32 @@ struct LiveEngine::Impl {
   }
 };
 
-LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
-                       EventLogWriter* log)
-    : config_(std::move(config)) {
-  if (config_.period.hours() <= 0) {
+LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
+                       EventLogWriter* log) {
+  if (config.period.hours() <= 0) {
     throw std::invalid_argument("LiveEngine: empty period");
   }
-  const core::ScenarioSpec spec = spec_of(config_);
-  const core::RouterRegistry& registry = core::RouterRegistry::instance();
-  const core::RouterEntry& entry = registry.at(spec.router);
-  const bool enforce = spec.enforce_p95 && !entry.forces_relaxed_p95;
-
-  std::vector<core::Cluster> clusters =
-      entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
-
-  // The priced window: the workload period plus the front margin the
-  // delayed routing price reads (mirrors the scenario runner).
-  const int sph = config_.samples_per_hour;
-  const int margin = spec.delay_steps > 0
-                         ? (spec.delay_steps + sph - 1) / sph
-                         : spec.delay_hours;
-  const Period priced{config_.period.begin - margin, config_.period.end};
+  const core::ScenarioSpec spec = scenario_of(config);
+  core::RunPlan plan = core::plan_run(fixture, spec, config.period);
+  plan.engine.taps = config.taps;
 
   std::vector<HubId> tracked;
-  tracked.reserve(clusters.size());
-  for (const core::Cluster& c : clusters) tracked.push_back(c.hub);
-
-  core::EngineConfig cfg;
-  cfg.energy = spec.energy;
-  cfg.delay_hours = spec.delay_hours;
-  cfg.delay_steps = spec.delay_steps;
-  cfg.enforce_p95 = enforce;
-  cfg.taps = config_.taps;
+  tracked.reserve(plan.clusters.size());
+  for (const core::Cluster& c : plan.clusters) tracked.push_back(c.hub);
 
   impl_ = std::make_unique<Impl>(
-      market::TickAssembler(priced, sph,
+      market::TickAssembler(plan.priced, config.samples_per_hour,
                             market::HubRegistry::instance().size(),
                             std::move(tracked)),
-      PushWorkload(config_.period, config_.steps_per_hour,
+      PushWorkload(config.period, config.steps_per_hour,
                    fixture.trace.state_count()),
-      std::move(clusters), fixture, cfg);
+      std::move(plan.clusters), fixture, plan.engine);
   Impl& im = *impl_;
   im.log = log;
-  im.telemetry = LiveTelemetry{RollingEstimators(config_.telemetry_ewma_alpha),
-                               RollingEstimators(config_.telemetry_ewma_alpha)};
-
-  im.router = entry.make(fixture, spec);
-  im.tracer = config_.taps.tracer;
-  if (config_.taps.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *config_.taps.metrics;
+  im.router = std::move(plan.router);
+  im.tracer = config.taps.tracer;
+  if (config.taps.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *config.taps.metrics;
     im.m_ticks = reg.counter("cebis_live_price_ticks_total",
                              "Settlement ticks ingested by the live session");
     im.m_blocked = reg.counter(
@@ -272,14 +230,14 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
   }
 
   im.observers.push_back(&im.capture);
-  if (config_.record_hourly_energy) {
+  if (config.record_hourly_energy) {
     im.recorder =
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
     im.observers.push_back(im.recorder.get());
   }
-  if (config_.storage.has_value()) {
+  if (config.storage.has_value()) {
     im.controller = std::make_unique<storage::StorageController>(
-        *config_.storage, config_.taps.metrics);
+        *config.storage, config.taps.metrics);
     im.observers.push_back(im.controller.get());
   }
   if (log != nullptr) {
@@ -288,20 +246,10 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
     im.observers.push_back(im.log_observer.get());
   }
 
+  static_cast<SessionSpec&>(meta_) = config;
   meta_.seed = fixture.seed;
-  meta_.router = config_.router;
-  meta_.router_config = config_.router_config;
-  meta_.period = config_.period;
-  meta_.steps_per_hour = config_.steps_per_hour;
-  meta_.samples_per_hour = config_.samples_per_hour;
-  meta_.delay_hours = config_.delay_hours;
-  meta_.delay_steps = config_.delay_steps;
-  meta_.enforce_p95 = config_.enforce_p95;
   meta_.n_states = static_cast<std::uint32_t>(im.workload.state_count());
   meta_.n_clusters = static_cast<std::uint32_t>(im.engine.clusters().size());
-  meta_.energy = config_.energy;
-  meta_.record_hourly_energy = config_.record_hourly_energy;
-  meta_.storage = config_.storage;
 
   // The meta frame leads the log (and doubles as eager validation that
   // the session is loggable - the writer rejects non-round-trippable
@@ -310,16 +258,18 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
 
   im.session.emplace(im.engine.begin(im.workload, *im.router, im.observers));
 
-  if (config_.shadow_baseline) {
-    const core::RouterEntry& baseline = registry.at("baseline");
-    core::ScenarioSpec baseline_spec = spec;
-    baseline_spec.router = "baseline";
-    baseline_spec.config = std::monostate{};
-    core::EngineConfig shadow_cfg = cfg;
-    shadow_cfg.enforce_p95 = false;  // the baseline defines the reference
+  if (config.shadow_baseline) {
+    // The baseline defines the reference, so its plan runs unconstrained
+    // on the fixture clusters.
+    core::ScenarioSpec baseline = spec;
+    baseline.router = "baseline";
+    baseline.config = std::monostate{};
+    core::RunPlan shadow = core::plan_run(fixture, baseline, config.period);
+    shadow.engine.taps = config.taps;
     im.shadow_engine = std::make_unique<core::SimulationEngine>(
-        fixture.clusters, im.assembler.set(), fixture.distances, shadow_cfg);
-    im.shadow_router = baseline.make(fixture, baseline_spec);
+        std::move(shadow.clusters), im.assembler.set(), fixture.distances,
+        shadow.engine);
+    im.shadow_router = std::move(shadow.router);
     im.shadow_session.emplace(
         im.shadow_engine->begin(im.workload, *im.shadow_router, {}));
   }

@@ -32,9 +32,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -75,32 +73,12 @@ class PushWorkload final : public core::Workload {
   std::vector<double> data_;  // pushed() x state_count, row-major
 };
 
-/// Static configuration of one live session (the declarative subset of
-/// a ScenarioSpec that a stream can honour - no caller hooks, no price
-/// overrides).
-struct LiveConfig {
-  std::string router = "price-aware";
-  core::RouterConfig router_config{};
-  /// Workload window (absolute hours); required, must be non-empty.
-  Period period{0, 0};
-  int steps_per_hour = 12;    ///< demand cadence (12 = 5-minute steps)
-  int samples_per_hour = 12;  ///< native market interval of the tick stream
-  energy::EnergyModelParams energy;
-  bool enforce_p95 = true;
-  int delay_hours = 1;
-  /// See EngineConfig::delay_steps (> 0 routes on the settlement
-  /// delay_steps native intervals back; 0 uses delay_hours).
-  int delay_steps = 0;
-  /// Attach a native-interval HourlyEnergyRecorder (per-interval rows in
-  /// RunResult::hourly_energy).
-  bool record_hourly_energy = false;
-  /// Battery storage behind every cluster (see core::StorageSpec; the
-  /// loggable subset only - empty per_cluster, default policy_config).
-  std::optional<core::StorageSpec> storage;
+/// Configuration of one live session: the run description it logs (see
+/// SessionSpec) plus the runtime knobs no log carries.
+struct LiveConfig : SessionSpec {
   /// Step a shadow "baseline" session in lockstep and report rolling
   /// savings telemetry.
   bool shadow_baseline = true;
-  double telemetry_ewma_alpha = 0.1;
 
   /// Observability taps (obs::Taps; both pointers borrowed, may be
   /// null). Threaded into the underlying engine (see
@@ -113,7 +91,7 @@ struct LiveConfig {
 };
 
 /// Rolling per-step dollar telemetry (see RollingEstimators; all
-/// estimators sample once per advance()).
+/// estimators sample once per advance(), EWMA weight 0.1).
 struct LiveTelemetry {
   RollingEstimators bill_usd_per_step;
   /// Present only with LiveConfig::shadow_baseline.
@@ -126,12 +104,12 @@ struct LiveTelemetry {
 
 class LiveEngine {
  public:
-  /// Builds clusters/router/engine from the fixture exactly like the
-  /// scenario runner would, opens the session, and - when `log` is
+  /// Builds clusters/router/engine through core::plan_run, as the
+  /// scenario runner does, opens the session, and - when `log` is
   /// given - writes the SessionMeta frame. `log` and `fixture` must
   /// outlive the LiveEngine. Throws std::invalid_argument on a config
   /// the service mode cannot honour.
-  LiveEngine(const core::Fixture& fixture, LiveConfig config,
+  LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
              EventLogWriter* log = nullptr);
   ~LiveEngine();
 
@@ -175,13 +153,11 @@ class LiveEngine {
   [[nodiscard]] std::size_t state_count() const noexcept;
   [[nodiscard]] std::size_t cluster_count() const noexcept;
   [[nodiscard]] const LiveTelemetry& telemetry() const noexcept;
-  [[nodiscard]] const LiveConfig& config() const noexcept { return config_; }
-  /// The SessionMeta a log of this session carries.
+  /// The session's description, as a log of it carries.
   [[nodiscard]] const SessionMeta& meta() const noexcept { return meta_; }
 
  private:
   struct Impl;
-  LiveConfig config_;
   SessionMeta meta_;
   std::unique_ptr<Impl> impl_;
 };

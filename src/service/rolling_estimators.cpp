@@ -17,7 +17,6 @@ void RollingEstimators::add(double x) {
   ewma_ = count_ == 0 ? x : alpha_ * x + (1.0 - alpha_) * ewma_;
   last_ = x;
   ++count_;
-  acc_.add(x);
 }
 
 double RollingEstimators::mean() const {
@@ -32,13 +31,6 @@ double RollingEstimators::ewma() const {
     throw std::logic_error("RollingEstimators::ewma: no samples");
   }
   return ewma_;
-}
-
-double RollingEstimators::percentile(double p) const {
-  if (count_ == 0) {
-    throw std::logic_error("RollingEstimators::percentile: no samples");
-  }
-  return acc_.percentile(p);
 }
 
 }  // namespace cebis::service

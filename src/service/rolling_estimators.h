@@ -4,24 +4,20 @@
 // Online telemetry statistics for the live service mode.
 //
 // A live session wants rolling answers ("what is the bill rate doing?")
-// without retaining the whole history in hot structures, and the
-// answers must agree with the batch post-processing - an operator
-// comparing the live dashboard against the nightly batch report should
-// never see a discrepancy that is really floating-point drift. So the
-// estimators are defined by contract against src/stats/:
+// in constant memory, and the answers must agree with the batch
+// post-processing - an operator comparing the live dashboard against
+// the nightly batch report should never see a discrepancy that is
+// really floating-point drift. So:
 //
-//   mean()          == stats::mean over the samples so far, bit-for-bit
-//                      (same left-fold accumulation order)
-//   percentile(p)   == stats::percentile over the samples so far,
-//                      bit-for-bit (delegates to PercentileAccumulator)
-//   ewma()          the usual exponentially weighted mean (the only
-//                      genuinely "rolling" estimate; no batch analogue)
+//   mean()   == stats::mean over the samples so far, bit-for-bit
+//               (same left-fold accumulation order)
+//   ewma()   the usual exponentially weighted mean (the only genuinely
+//            "rolling" estimate; no batch analogue)
+//   last()   the newest sample
 //
-// tests/test_rolling_estimators.cpp pins the bit-for-bit clauses.
+// tests/test_rolling_estimators.cpp pins the bit-for-bit clause.
 
 #include <cstdint>
-
-#include "stats/percentile.h"
 
 namespace cebis::service {
 
@@ -33,7 +29,6 @@ class RollingEstimators {
   void add(double x);
 
   [[nodiscard]] std::int64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double last() const noexcept { return last_; }
 
   /// stats::mean over everything added, bit-for-bit. Throws
@@ -43,19 +38,12 @@ class RollingEstimators {
   /// Exponentially weighted mean, seeded with the first sample.
   [[nodiscard]] double ewma() const;
 
-  /// stats::percentile over everything added, bit-for-bit.
-  [[nodiscard]] double percentile(double p) const;
-
-  /// The 95/5 convention's quantile.
-  [[nodiscard]] double p95() const { return percentile(95.0); }
-
  private:
   double alpha_;
   std::int64_t count_ = 0;
   double sum_ = 0.0;
   double ewma_ = 0.0;
   double last_ = 0.0;
-  stats::PercentileAccumulator acc_;
 };
 
 }  // namespace cebis::service

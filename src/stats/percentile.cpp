@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
 #include <stdexcept>
 
 namespace cebis::stats {
@@ -81,54 +80,6 @@ double StreamingPercentile::value() const {
   const std::size_t hi = static_cast<std::size_t>(std::ceil(rank_)) -
                          static_cast<std::size_t>(std::floor(rank_));
   return tail[0] + frac * (tail[hi] - tail[0]);
-}
-
-void PercentileAccumulator::add_weighted(double x, double weight) {
-  if (weight < 0.0) throw std::invalid_argument("add_weighted: negative weight");
-  if (weights_.empty() && !xs_.empty()) {
-    weights_.assign(xs_.size(), 1.0);  // retrofit unit weights
-  }
-  xs_.push_back(x);
-  if (!weights_.empty() || weight != 1.0) {
-    if (weights_.empty()) weights_.assign(xs_.size() - 1, 1.0);
-    weights_.push_back(weight);
-  }
-}
-
-double PercentileAccumulator::percentile(double p) const {
-  if (xs_.empty()) throw std::invalid_argument("percentile: no samples");
-  if (weights_.empty()) return stats::percentile(xs_, p);
-
-  // Weighted percentile: sort by value, walk the cumulative weight.
-  std::vector<std::size_t> order(xs_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [this](std::size_t a, std::size_t b) { return xs_[a] < xs_[b]; });
-  double total = std::accumulate(weights_.begin(), weights_.end(), 0.0);
-  if (total <= 0.0) throw std::invalid_argument("percentile: zero total weight");
-  const double target = p / 100.0 * total;
-  double cum = 0.0;
-  for (std::size_t i : order) {
-    cum += weights_[i];
-    if (cum >= target) return xs_[i];
-  }
-  return xs_[order.back()];
-}
-
-double PercentileAccumulator::mean() const {
-  if (xs_.empty()) throw std::invalid_argument("mean: no samples");
-  if (weights_.empty()) {
-    return std::accumulate(xs_.begin(), xs_.end(), 0.0) /
-           static_cast<double>(xs_.size());
-  }
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < xs_.size(); ++i) {
-    num += xs_[i] * weights_[i];
-    den += weights_[i];
-  }
-  if (den <= 0.0) throw std::invalid_argument("mean: zero total weight");
-  return num / den;
 }
 
 }  // namespace cebis::stats

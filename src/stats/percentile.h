@@ -64,27 +64,6 @@ class StreamingPercentile {
   std::vector<double> heap_;  ///< min-heap of the largest keep_ samples
 };
 
-/// Streaming percentile tracker: stores samples and answers percentile
-/// queries; used by the online 95/5 constraint tracker and the
-/// client-server distance percentiles (Fig 17).
-class PercentileAccumulator {
- public:
-  void add(double x) { xs_.push_back(x); }
-  void add_weighted(double x, double weight);
-
-  [[nodiscard]] std::size_t count() const noexcept { return xs_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return xs_.empty(); }
-
-  /// Percentile over everything added so far. For weighted samples the
-  /// percentile is over the expanded distribution.
-  [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] double mean() const;
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> weights_;  // empty if all weights are 1
-};
-
 }  // namespace cebis::stats
 
 #endif  // CEBIS_STATS_PERCENTILE_H

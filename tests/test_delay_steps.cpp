@@ -7,9 +7,10 @@
 //   delay_steps = 1                 !=  delay_hours = 1
 //     (reacting to the previous 5-minute settlement genuinely reroutes)
 //
-// plus the engine-level validation and the sweep runner's engine-key
-// separation (a delay_steps run may not share a cached engine with a
-// delay_hours run).
+// plus the one delay function both the priced-window margin and the
+// engine's routing-price lookup read, the engine-level validation and
+// the sweep runner's engine-key separation (a delay_steps run may not
+// share a cached engine with a delay_hours run).
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,44 @@ TEST_F(DelayStepsTest, SweepKeysDelayStepsEnginesSeparately) {
   EXPECT_TRUE(same_bits(runs[1].total_cost.value(),
                         runs[2].total_cost.value()));
   EXPECT_NE(runs[0].total_cost.value(), runs[1].total_cost.value());
+}
+
+TEST(RoutingDelay, FoldsBothKnobsIntoNativeIntervalsAndHourMargins) {
+  struct Row {
+    int delay_hours;
+    int delay_steps;
+    int samples_per_hour;
+    std::int64_t intervals;
+    std::int64_t margin_hours;
+  };
+  const Row rows[] = {
+      // Hourly market: the hour delay is the interval delay.
+      {0, 0, 1, 0, 0},
+      {1, 0, 1, 1, 1},
+      {3, 0, 1, 3, 3},
+      // 5-minute market: hour delays scale to intervals, and
+      // delay_steps replaces them, rounded up to whole hours.
+      {0, 0, 12, 0, 0},
+      {1, 0, 12, 12, 1},
+      {3, 0, 12, 36, 3},
+      {1, 1, 12, 1, 1},
+      {1, 12, 12, 12, 1},
+      {1, 13, 12, 13, 2},
+      {1, 24, 12, 24, 2},
+  };
+  const Period period{1000, 1024};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(testing::Message()
+                 << "delay_hours " << row.delay_hours << ", delay_steps "
+                 << row.delay_steps << ", " << row.samples_per_hour << "/h");
+    EXPECT_EQ(routing_delay_intervals(row.delay_hours, row.delay_steps,
+                                      row.samples_per_hour),
+              row.intervals);
+    const Period priced = priced_window(period, row.delay_hours,
+                                        row.delay_steps, row.samples_per_hour);
+    EXPECT_EQ(period.begin - priced.begin, row.margin_hours);
+    EXPECT_EQ(priced.end, period.end);
+  }
 }
 
 TEST_F(DelayStepsTest, ValidatesTheConfiguration) {

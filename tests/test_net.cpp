@@ -279,6 +279,15 @@ struct SessionFeed {
   std::vector<service::WorkloadStepRecord> steps;
 };
 
+/// The session's first settlement interval: its priced window reaches
+/// the routing delay back before the workload period.
+std::int64_t first_interval(const service::SessionMeta& meta) {
+  const int sph = meta.samples_per_hour;
+  const Period priced = core::priced_window(meta.period, meta.delay_hours,
+                                            meta.delay_steps, sph);
+  return priced.begin * sph;
+}
+
 /// The session cebis_feed would synthesize: the fixture's own market as
 /// the settlement feed, the trace as demand, over the first `hours`.
 SessionFeed make_feed(const core::Fixture& fixture, std::int64_t hours) {
@@ -294,7 +303,8 @@ SessionFeed make_feed(const core::Fixture& fixture, std::int64_t hours) {
   feed.meta.samples_per_hour = 12;
 
   const int sph = feed.meta.samples_per_hour;
-  const Period priced{window.begin - feed.meta.delay_hours, window.end};
+  const Period priced = core::priced_window(window, feed.meta.delay_hours,
+                                            feed.meta.delay_steps, sph);
   const market::PriceSet& prices = fixture.prices_covering(priced, sph);
   std::vector<HubId> hubs;
   for (const core::Cluster& c : fixture.clusters) {
@@ -320,25 +330,16 @@ SessionFeed make_feed(const core::Fixture& fixture, std::int64_t hours) {
   return feed;
 }
 
-/// The server's exact session, run in process: same LiveConfig mapping
-/// as Server::Impl::open_session, same buffer-then-pump discipline,
-/// same feed order (interleave_feed). The event log this writes must be
-/// byte-identical to the one the server writes over the socket.
+/// The server's exact session, run in process: the meta's SessionSpec
+/// slice as Server::Impl::open_session takes it, same buffer-then-pump
+/// discipline, same feed order (interleave_feed). The event log this
+/// writes must be byte-identical to the one the server writes over the
+/// socket.
 core::RunResult run_in_process(const core::Fixture& fixture,
                                const SessionFeed& feed,
                                const std::string& log_path) {
   service::LiveConfig cfg;
-  cfg.router = feed.meta.router;
-  cfg.router_config = feed.meta.router_config;
-  cfg.period = feed.meta.period;
-  cfg.steps_per_hour = feed.meta.steps_per_hour;
-  cfg.samples_per_hour = feed.meta.samples_per_hour;
-  cfg.energy = feed.meta.energy;
-  cfg.enforce_p95 = feed.meta.enforce_p95;
-  cfg.delay_hours = feed.meta.delay_hours;
-  cfg.delay_steps = feed.meta.delay_steps;
-  cfg.record_hourly_energy = feed.meta.record_hourly_energy;
-  cfg.storage = feed.meta.storage;
+  static_cast<service::SessionSpec&>(cfg) = feed.meta;
   cfg.shadow_baseline = true;  // ServerOptions default
 
   service::EventLogWriter log(log_path);
@@ -479,9 +480,7 @@ TEST_F(NetLoopbackTest, CorruptFrameClosesConnectionButSessionSurvives) {
   const SessionFeed feed = make_feed(*fixture_, 2);
   ServerHarness harness(loopback_options(server_log.path()));
 
-  const std::int64_t start =
-      (feed.meta.period.begin - feed.meta.delay_hours) *
-      feed.meta.samples_per_hour;
+  const std::int64_t start = first_interval(feed.meta);
   std::size_t hubs = 0;
   {
     RawFeeder feeder(harness.server().ingest_port());
@@ -536,9 +535,7 @@ TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
   const SessionFeed feed = make_feed(*fixture_, 2);
   ServerHarness harness(loopback_options(server_log.path()));
 
-  const std::int64_t start =
-      (feed.meta.period.begin - feed.meta.delay_hours) *
-      feed.meta.samples_per_hour;
+  const std::int64_t start = first_interval(feed.meta);
   {
     RawFeeder feeder(harness.server().ingest_port());
     feeder.send(service::EventRecord{feed.meta});

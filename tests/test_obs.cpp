@@ -561,10 +561,8 @@ core::RunResult drive_live(const core::Fixture& fixture,
                            service::LiveEngine& live,
                            const service::LiveConfig& config) {
   const int sph = config.samples_per_hour;
-  const int margin = config.delay_steps > 0
-                         ? (config.delay_steps + sph - 1) / sph
-                         : config.delay_hours;
-  const Period priced{config.period.begin - margin, config.period.end};
+  const Period priced = core::priced_window(
+      config.period, config.delay_hours, config.delay_steps, sph);
   const market::PriceSet& feed = fixture.prices_covering(priced, sph);
 
   std::vector<HubId> hubs;

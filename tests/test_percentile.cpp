@@ -1,5 +1,5 @@
-// Percentile math: the 95/5 billing quantity and the distance
-// percentiles of Fig 17 both flow through these functions.
+// Percentile math: the 95/5 billing quantity flows through these
+// functions, and the engine's realized p95 through the streaming sketch.
 
 #include <gtest/gtest.h>
 
@@ -55,42 +55,6 @@ TEST(Percentile, Quartiles) {
   EXPECT_DOUBLE_EQ(q.q25, 25.0);
   EXPECT_DOUBLE_EQ(q.q50, 50.0);
   EXPECT_DOUBLE_EQ(q.q75, 75.0);
-}
-
-TEST(PercentileAccumulator, UnweightedMatchesBatch) {
-  PercentileAccumulator acc;
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) {
-    const double v = (i * 37) % 100;
-    acc.add(v);
-    xs.push_back(v);
-  }
-  EXPECT_DOUBLE_EQ(acc.percentile(95.0), percentile(xs, 95.0));
-  EXPECT_DOUBLE_EQ(acc.mean(), 49.5);
-}
-
-TEST(PercentileAccumulator, WeightedPercentile) {
-  PercentileAccumulator acc;
-  acc.add_weighted(1.0, 99.0);
-  acc.add_weighted(100.0, 1.0);
-  // 99% of the mass sits at 1.0.
-  EXPECT_DOUBLE_EQ(acc.percentile(50.0), 1.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(99.9), 100.0);
-  EXPECT_NEAR(acc.mean(), (1.0 * 99.0 + 100.0) / 100.0, test::kTightTol);
-}
-
-TEST(PercentileAccumulator, MixedWeightRetrofit) {
-  PercentileAccumulator acc;
-  acc.add(10.0);                 // implicit weight 1
-  acc.add_weighted(20.0, 3.0);   // retrofits unit weights
-  EXPECT_NEAR(acc.mean(), (10.0 + 60.0) / 4.0, test::kTightTol);
-}
-
-TEST(PercentileAccumulator, Errors) {
-  PercentileAccumulator acc;
-  EXPECT_THROW((void)acc.percentile(50.0), std::invalid_argument);
-  EXPECT_THROW((void)acc.mean(), std::invalid_argument);
-  EXPECT_THROW(acc.add_weighted(1.0, -1.0), std::invalid_argument);
 }
 
 TEST(StreamingPercentile, BitIdenticalToBatchAcrossSizesAndPs) {

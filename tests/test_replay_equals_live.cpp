@@ -62,10 +62,8 @@ LiveRun drive_live(const core::Fixture& fixture, const LiveConfig& config,
   LiveEngine live(fixture, config, log);
 
   const int sph = config.samples_per_hour;
-  const int margin = config.delay_steps > 0
-                         ? (config.delay_steps + sph - 1) / sph
-                         : config.delay_hours;
-  const Period priced{config.period.begin - margin, config.period.end};
+  const Period priced = core::priced_window(
+      config.period, config.delay_hours, config.delay_steps, sph);
   const market::PriceSet& feed = fixture.prices_covering(priced, sph);
 
   std::vector<HubId> hubs;
@@ -227,28 +225,35 @@ TEST_F(ReplayEqualsLive, HoldsWithStorageAndRecorder) {
 }
 
 TEST_F(ReplayEqualsLive, HoldsUnderDelayStepsRouting) {
-  // The satellite knob through the full live/replay stack: route on the
-  // previous 5-minute settlement instead of the previous hour.
-  test::TempFile log_file("replay_equals_live_delay_steps.eventlog");
-  LiveConfig config;
-  config.router = "price-aware";
-  config.period = window_of(*fixture_, 6);
-  config.steps_per_hour = 12;
-  config.samples_per_hour = 12;
-  config.delay_steps = 1;
-  config.shadow_baseline = false;
+  // The price-freshness knob through the full live/replay stack: route
+  // on the previous 5-minute settlement, and on the one 18 intervals
+  // back - a delay longer than an hour of intervals, whose two-hour
+  // front margin the feed, the live assembler and replay must all agree
+  // on.
+  for (const int delay_steps : {1, 18}) {
+    SCOPED_TRACE(testing::Message() << "delay_steps " << delay_steps);
+    test::TempFile log_file("replay_equals_live_delay_steps_" +
+                            std::to_string(delay_steps) + ".eventlog");
+    LiveConfig config;
+    config.router = "price-aware";
+    config.period = window_of(*fixture_, 6);
+    config.steps_per_hour = 12;
+    config.samples_per_hour = 12;
+    config.delay_steps = delay_steps;
+    config.shadow_baseline = false;
 
-  LiveRun live;
-  {
-    EventLogWriter log(log_file.path());
-    live = drive_live(*fixture_, config, &log);
-    log.close();
+    LiveRun live;
+    {
+      EventLogWriter log(log_file.path());
+      live = drive_live(*fixture_, config, &log);
+      log.close();
+    }
+    const core::RunResult batch =
+        batch_over_fixture(*fixture_, config, live.demand);
+    EXPECT_EQ(diff_run_results(live.result, batch), "");
+    const core::RunResult replayed = replay_file(*fixture_, log_file.path());
+    EXPECT_EQ(diff_run_results(live.result, replayed), "");
   }
-  const core::RunResult batch =
-      batch_over_fixture(*fixture_, config, live.demand);
-  EXPECT_EQ(diff_run_results(live.result, batch), "");
-  const core::RunResult replayed = replay_file(*fixture_, log_file.path());
-  EXPECT_EQ(diff_run_results(live.result, replayed), "");
 }
 
 // --- streaming guards -------------------------------------------------------
@@ -280,6 +285,33 @@ TEST_F(ReplayEqualsLive, ReplayValidatesTheFixture) {
   RecordedSession session = read_session(log_file.path());
   session.meta.seed = 777;  // not the fixture's seed
   EXPECT_THROW((void)replay(*fixture_, session), std::invalid_argument);
+}
+
+TEST_F(ReplayEqualsLive, LiveAndReplayRejectIntervalsNotDividingTheHour) {
+  // 9 is the case that matters: 60 / 9 truncates to a valid-looking
+  // 6-minute market, which would price a 10-per-hour series against a
+  // 9-per-hour tick stream.
+  test::TempFile log_file("replay_bad_interval.eventlog");
+  LiveConfig config;
+  config.period = window_of(*fixture_, 2);
+  config.shadow_baseline = false;
+  {
+    EventLogWriter log(log_file.path());
+    (void)drive_live(*fixture_, config, &log);
+    log.close();
+  }
+  const RecordedSession recorded = read_session(log_file.path());
+  for (const int samples_per_hour : {0, 9}) {
+    SCOPED_TRACE(testing::Message() << samples_per_hour << " per hour");
+    LiveConfig bad = config;
+    bad.samples_per_hour = samples_per_hour;
+    EXPECT_THROW((void)scenario_of(bad), std::invalid_argument);
+    EXPECT_THROW(LiveEngine live(*fixture_, bad), std::invalid_argument);
+
+    RecordedSession session = recorded;
+    session.meta.samples_per_hour = samples_per_hour;
+    EXPECT_THROW((void)replay(*fixture_, session), std::invalid_argument);
+  }
 }
 
 TEST_F(ReplayEqualsLive, PushWorkloadGuardsItsShape) {

@@ -265,8 +265,8 @@ TEST_F(SubHourlyScenarioTest, FlatIntraHourMarketMatchesHourlyByteForByte) {
   };
   const RunResult hourly = run_scenario(*fixture_, spec);
 
-  const Period priced{trace_period().begin - spec.delay_hours,
-                      trace_period().end};
+  const Period priced = priced_window(trace_period(), spec.delay_hours,
+                                      spec.delay_steps, /*samples_per_hour=*/1);
   const market::PriceSet& base = fixture_->prices_covering(priced);
   market::PriceSet flat;
   flat.period = base.period;
