@@ -144,7 +144,11 @@ std::string to_metrics_json(const obs::MetricsSnapshot& snap) {
     for (const auto& [k, v] : s.labels) {
       if (!first_label) out += ',';
       first_label = false;
-      out += "\"" + json_escaped(k) + "\":\"" + json_escaped(v) + "\"";
+      out += '"';
+      out += json_escaped(k);
+      out += "\":\"";
+      out += json_escaped(v);
+      out += '"';
     }
     out += "}";
     if (s.kind == MetricKind::kHistogram) {

@@ -80,6 +80,14 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
   FeedReport report;
   int attempts = 0;
   int backoff_ms = options_.initial_backoff_ms;
+  const auto retry_or_give_up = [&](const std::exception& e) {
+    if (attempts >= options_.max_attempts) {
+      throw NetError("feed failed after " + std::to_string(attempts) +
+                     " attempts: " + e.what());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+  };
   for (;;) {
     ++attempts;
     try {
@@ -127,15 +135,16 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
           ++report.records_skipped;
           continue;
         }
-        append_frame(buf,
-                     static_cast<std::uint8_t>(service::record_type(record)),
-                     service::encode_record(record));
+        service::append_frame(
+            buf, static_cast<std::uint8_t>(service::record_type(record)),
+            service::encode_record(record));
         if (buf.size() >= kFlushBytes) {
           sock.write_all(buf.data(), buf.size(), options_.io_timeout_ms);
           buf.clear();
         }
       }
-      append_frame(buf, static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
+      service::append_frame(
+          buf, static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
       sock.write_all(buf.data(), buf.size(), options_.io_timeout_ms);
 
       const IngestStatusFrame ack = read_status(reader, options_.io_timeout_ms);
@@ -146,21 +155,9 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
       report.final_steps_done = ack.steps_done;
       return report;
     } catch (const NetError& e) {
-      if (attempts >= options_.max_attempts) {
-        throw NetError("feed failed after " + std::to_string(attempts) +
-                       " attempts: " + e.what());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+      retry_or_give_up(e);
     } catch (const service::EventLogError& e) {
-      // A torn/garbled status frame: same retry discipline as a
-      // connection failure.
-      if (attempts >= options_.max_attempts) {
-        throw NetError("feed failed after " + std::to_string(attempts) +
-                       " attempts: " + e.what());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+      retry_or_give_up(e);  // a torn or garbled status frame
     }
   }
 }

@@ -14,6 +14,9 @@ namespace cebis::net {
 namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8192;
+/// Deadlines for a scraper to send its request and to take the reply.
+constexpr int kReadTimeoutMs = 2000;
+constexpr int kWriteTimeoutMs = 2000;
 
 std::string response(int code, const char* reason, const std::string& body,
                      const char* content_type) {
@@ -31,7 +34,7 @@ std::string response(int code, const char* reason, const std::string& body,
 struct HttpMetricsServer::Impl {
   HttpMetricsOptions options;
   Listener listener;
-  std::atomic<bool> stopping{false};
+  std::atomic<bool> stopping{false};  // stop() runs once
   std::atomic<std::int64_t> requests{0};
   std::thread server;
 
@@ -47,7 +50,7 @@ struct HttpMetricsServer::Impl {
       char buf[1024];
       std::size_t n = 0;
       try {
-        n = sock.read_some(buf, sizeof(buf), options.read_timeout_ms);
+        n = sock.read_some(buf, sizeof(buf), kReadTimeoutMs);
       } catch (const NetError&) {
         return;
       }
@@ -78,7 +81,7 @@ struct HttpMetricsServer::Impl {
                        "text/plain; version=0.0.4; charset=utf-8");
     }
     try {
-      sock.write_all(reply.data(), reply.size(), options.write_timeout_ms);
+      sock.write_all(reply.data(), reply.size(), kWriteTimeoutMs);
       requests.fetch_add(1, std::memory_order_relaxed);
     } catch (const NetError&) {
       // The scraper vanished mid-response; nothing to clean up.
@@ -86,15 +89,7 @@ struct HttpMetricsServer::Impl {
   }
 
   void serve_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
-      std::optional<Socket> sock;
-      try {
-        sock = listener.accept(options.accept_timeout_ms);
-      } catch (const NetError&) {
-        return;  // listener closed by stop()
-      }
-      if (sock) handle(*sock);
-    }
+    while (std::optional<Socket> sock = listener.accept()) handle(*sock);
   }
 };
 
@@ -115,7 +110,7 @@ std::int64_t HttpMetricsServer::requests_served() const noexcept {
 
 void HttpMetricsServer::stop() {
   if (!impl_ || impl_->stopping.exchange(true)) return;
-  impl_->listener.close();
+  impl_->listener.shutdown();
   if (impl_->server.joinable()) impl_->server.join();
 }
 

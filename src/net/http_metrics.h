@@ -22,9 +22,6 @@ struct HttpMetricsOptions {
   /// Snapshot source; null serves an empty exposition (still 200, so a
   /// scrape of an uninstrumented server succeeds vacuously).
   const obs::MetricsRegistry* registry = nullptr;
-  int read_timeout_ms = 2000;
-  int write_timeout_ms = 2000;
-  int accept_timeout_ms = 100;
 };
 
 class HttpMetricsServer {
@@ -39,6 +36,8 @@ class HttpMetricsServer {
   [[nodiscard]] std::uint16_t port() const noexcept;
   [[nodiscard]] std::int64_t requests_served() const noexcept;
 
+  /// Wakes and joins the serving thread (after the request in hand, if
+  /// any). Idempotent and safe to call from two threads.
   void stop();
 
  private:

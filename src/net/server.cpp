@@ -18,6 +18,9 @@ namespace cebis::net {
 namespace {
 
 constexpr std::size_t kMaxEvents = 64;
+/// Deadline for one write to a feeder or a subscriber, and for the
+/// subscribers to drain the feed's tail.
+constexpr int kWriteTimeoutMs = 2000;
 
 }  // namespace
 
@@ -46,8 +49,7 @@ struct Server::Impl {
         hub(SubscriberHubOptions{
             .port = options.subscribe_port,
             .queue_capacity = options.subscriber_queue_capacity,
-            .write_timeout_ms = options.write_timeout_ms,
-            .accept_timeout_ms = options.accept_timeout_ms,
+            .write_timeout_ms = kWriteTimeoutMs,
             .taps = options.taps,
         }) {
     if (options.log_path.empty()) {
@@ -57,7 +59,6 @@ struct Server::Impl {
       http = std::make_unique<HttpMetricsServer>(HttpMetricsOptions{
           .port = options.http_port,
           .registry = options.taps.metrics,
-          .accept_timeout_ms = options.accept_timeout_ms,
       });
     }
     if (options.taps.metrics != nullptr) {
@@ -190,7 +191,7 @@ struct Server::Impl {
       throw WireError("ingest port got a non-ingest channel", 0);
     }
     write_frame(sock, static_cast<std::uint8_t>(NetFrameType::kIngestStatus),
-                encode_ingest_status(status()), options.write_timeout_ms);
+                encode_ingest_status(status()), kWriteTimeoutMs);
 
     FrameReader reader(sock);
     for (;;) {
@@ -221,7 +222,7 @@ struct Server::Impl {
         publish_feed_end();
         write_frame(sock,
                     static_cast<std::uint8_t>(NetFrameType::kIngestStatus),
-                    encode_ingest_status(status()), options.write_timeout_ms);
+                    encode_ingest_status(status()), kWriteTimeoutMs);
         event("feed complete: " + std::to_string(report.steps_ingested) +
               " steps, " + std::to_string(report.ticks_ingested) + " ticks");
         return true;
@@ -274,35 +275,22 @@ struct Server::Impl {
     hub.publish(static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
     // Give well-behaved subscribers a moment to receive the tail; a
     // wedged one cannot hold the server hostage.
-    (void)hub.drain(options.write_timeout_ms);
+    (void)hub.drain(kWriteTimeoutMs);
   }
 
   ServerReport serve() {
-    while (!stopping.load(std::memory_order_relaxed) && !finished) {
-      std::optional<Socket> sock;
-      try {
-        sock = ingest_listener.accept(options.accept_timeout_ms);
-      } catch (const NetError&) {
-        break;  // listener closed by stop()
-      }
-      if (!sock) continue;
+    while (std::optional<Socket> sock = ingest_listener.accept()) {
       ++report.ingest_connections;
       m_connections.add();
       try {
         if (handle_connection(*sock)) break;
-      } catch (const TimeoutError& e) {
-        protocol_error(std::string("read timeout: ") + e.what());
-      } catch (const WireError& e) {
+      } catch (const NetError& e) {  // includes TimeoutError
         protocol_error(e.what());
-      } catch (const service::EventLogError& e) {
-        protocol_error(e.what());
-      } catch (const NetError& e) {
-        protocol_error(e.what());
-      } catch (const std::invalid_argument& e) {
-        // TickAssembler / LiveEngine rejection (out-of-order tick,
-        // untracked hub, bad demand shape, unbuildable session).
+      } catch (const service::EventLogError& e) {  // includes WireError
         protocol_error(e.what());
       } catch (const std::logic_error& e) {
+        // TickAssembler / LiveEngine rejection (out-of-order tick,
+        // untracked hub, bad demand shape, unbuildable session).
         protocol_error(e.what());
       }
     }
@@ -334,6 +322,7 @@ ServerReport Server::serve() { return impl_->serve(); }
 void Server::stop() {
   if (!impl_) return;
   impl_->stopping.store(true, std::memory_order_relaxed);
+  impl_->ingest_listener.shutdown();
   impl_->hub.stop();
   if (impl_->http) impl_->http->stop();
 }

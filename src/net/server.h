@@ -58,9 +58,6 @@ struct ServerOptions {
   /// Per-connection read deadline: a feeder silent this long is
   /// disconnected (it reconnects and resumes via the status cursor).
   int read_timeout_ms = 5000;
-  /// Cadence at which accept-waits recheck the stop flag.
-  int accept_timeout_ms = 100;
-  int write_timeout_ms = 2000;
   std::size_t subscriber_queue_capacity = 256;
 
   /// Forwarded to LiveConfig (the rest of the session config arrives
@@ -118,7 +115,9 @@ class Server {
   /// completes or stop() is called. Returns the session report.
   [[nodiscard]] ServerReport serve();
 
-  /// Thread-safe; serve() returns within ~read_timeout_ms.
+  /// Thread-safe and idempotent: wakes all three accept loops and joins
+  /// the subscriber and HTTP threads. An idle serve() returns at once,
+  /// one inside a feed connection within read_timeout_ms.
   void stop();
 
  private:

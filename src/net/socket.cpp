@@ -171,30 +171,26 @@ Listener::Listener(std::uint16_t port, int backlog) {
   port_ = ntohs(bound.sin_port);
 }
 
-Listener::~Listener() { close(); }
+Listener::~Listener() { ::close(fd_); }
 
-void Listener::close() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+void Listener::shutdown() noexcept {
+  // On Linux, shutdown(2) takes the socket out of the listening state and
+  // wakes every accept(2) on it, which fails with EINVAL. A repeat call
+  // fails with ENOTCONN and changes nothing.
+  (void)::shutdown(fd_, SHUT_RDWR);
 }
 
-std::optional<Socket> Listener::accept(int timeout_ms) {
-  if (fd_ < 0) throw NetError("accept on a closed listener");
-  if (!wait_ready(fd_, POLLIN, timeout_ms, "accept")) return std::nullopt;
+std::optional<Socket> Listener::accept() noexcept {
   for (;;) {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) {
       set_nodelay(fd);
       return Socket(fd);
     }
-    if (errno == EINTR) continue;
-    // The pending connection can vanish between poll and accept.
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
-      return std::nullopt;
-    }
-    raise_errno("accept");
+    // A signal, or a connection reset while it waited in the backlog:
+    // keep waiting for the next one.
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    return std::nullopt;  // EINVAL after shutdown(), or EMFILE, ENOBUFS, ...
   }
 }
 

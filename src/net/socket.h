@@ -5,8 +5,9 @@
 // dependency the net layer has (no third-party networking). Blocking
 // I/O with poll()-based deadlines: every read and write takes an
 // explicit timeout so a stalled peer surfaces as TimeoutError instead
-// of a wedged thread, and accept() polls so server loops can check a
-// stop flag at a bounded cadence.
+// of a wedged thread. accept() blocks with no deadline; another thread
+// ends the wait with Listener::shutdown(), so a server loop is just
+// `while (auto sock = listener.accept())`.
 //
 // Listeners bind loopback (127.0.0.1) only: the service is an
 // intra-host pipeline (feeder, server, subscribers, scrapers on one
@@ -70,6 +71,10 @@ class Socket {
 
 /// A loopback TCP listener. Port 0 binds an ephemeral port; port()
 /// reports the resolved one (how tests avoid fixed-port collisions).
+///
+/// Only the constructor and the destructor write the descriptor, so
+/// accept() on one thread and shutdown() on another never race. The
+/// owner joins its accepting thread before destroying the listener.
 class Listener {
  public:
   explicit Listener(std::uint16_t port, int backlog = 16);
@@ -80,12 +85,15 @@ class Listener {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// One accepted connection, or nullopt when `timeout_ms` passes
-  /// without one (the poll cadence server loops check stop flags at).
-  /// Throws NetError on listener failure or after close().
-  [[nodiscard]] std::optional<Socket> accept(int timeout_ms);
+  /// Blocks until a connection arrives. nullopt once shutdown() has been
+  /// called (before or during the wait), or when the kernel refuses the
+  /// accept (e.g. out of descriptors): either way the accept loop ends.
+  [[nodiscard]] std::optional<Socket> accept() noexcept;
 
-  void close() noexcept;
+  /// Stops listening: a blocked accept() wakes with nullopt, every later
+  /// one returns nullopt at once, and new connects are refused. Safe to
+  /// call from any thread, any number of times.
+  void shutdown() noexcept;
 
  private:
   int fd_ = -1;

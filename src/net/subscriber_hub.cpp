@@ -11,6 +11,9 @@
 
 namespace cebis::net {
 
+/// Deadline for a new subscriber's stream header after connect.
+constexpr int kHandshakeTimeoutMs = 2000;
+
 struct SubscriberHub::Subscriber {
   Socket sock;
   std::mutex mutex;
@@ -24,7 +27,7 @@ struct SubscriberHub::Subscriber {
 struct SubscriberHub::Impl {
   SubscriberHubOptions options;
   Listener listener;
-  std::atomic<bool> stopping{false};
+  std::atomic<bool> stopping{false};  // stop() runs once
 
   mutable std::mutex mutex;  // guards `subscribers` (the list, not the queues)
   std::vector<std::unique_ptr<Subscriber>> subscribers;
@@ -84,17 +87,9 @@ struct SubscriberHub::Impl {
   }
 
   void accept_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
-      std::optional<Socket> sock;
+    while (std::optional<Socket> sock = listener.accept()) {
       try {
-        sock = listener.accept(options.accept_timeout_ms);
-      } catch (const NetError&) {
-        return;  // listener closed by stop()
-      }
-      if (!sock) continue;
-      try {
-        const Channel channel =
-            read_stream_header(*sock, options.handshake_timeout_ms);
+        const Channel channel = read_stream_header(*sock, kHandshakeTimeoutMs);
         if (channel != Channel::kSubscribe) continue;  // drop the connection
       } catch (const NetError&) {
         continue;
@@ -160,7 +155,7 @@ std::uint16_t SubscriberHub::port() const noexcept {
 void SubscriberHub::publish(std::uint8_t type,
                             const std::vector<std::uint8_t>& payload) {
   auto frame = std::make_shared<std::vector<std::uint8_t>>();
-  append_frame(*frame, type, payload);
+  service::append_frame(*frame, type, payload);
   const std::shared_ptr<const std::vector<std::uint8_t>> shared =
       std::move(frame);
 
@@ -209,7 +204,7 @@ bool SubscriberHub::drain(int timeout_ms) {
 
 void SubscriberHub::stop() {
   if (!impl_ || impl_->stopping.exchange(true)) return;
-  impl_->listener.close();
+  impl_->listener.shutdown();
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
   std::vector<std::unique_ptr<Subscriber>> subs;
   {

@@ -32,10 +32,6 @@ struct SubscriberHubOptions {
   std::size_t queue_capacity = 256;
   /// Deadline for one socket write; a slower subscriber is dead.
   int write_timeout_ms = 2000;
-  /// Cadence at which the acceptor thread checks the stop flag.
-  int accept_timeout_ms = 100;
-  /// Deadline for the subscriber's stream header after connect.
-  int handshake_timeout_ms = 2000;
   obs::Taps taps;
 };
 
@@ -59,9 +55,9 @@ class SubscriberHub {
   /// stop()); returns false on timeout.
   bool drain(int timeout_ms);
 
-  /// Closes the listener, joins the acceptor and every writer. Queued
-  /// frames of live subscribers are abandoned (call drain() first when
-  /// they matter).
+  /// Shuts down the listener, joins the acceptor and every writer.
+  /// Queued frames of live subscribers are abandoned (call drain() first
+  /// when they matter). Idempotent and safe to call from two threads.
   void stop();
 
   [[nodiscard]] std::size_t subscriber_count() const;

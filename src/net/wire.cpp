@@ -66,23 +66,10 @@ Channel read_stream_header(Socket& sock, int timeout_ms) {
 
 // --- frame I/O --------------------------------------------------------------
 
-void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload) {
-  const std::size_t start = out.size();
-  out.reserve(start + 1 + sizeof(std::uint32_t) + payload.size() +
-              sizeof(std::uint32_t));
-  put(out, type);
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc =
-      service::crc32(out.data() + start, out.size() - start);
-  put(out, crc);
-}
-
 void write_frame(Socket& sock, std::uint8_t type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms) {
   std::vector<std::uint8_t> buf;
-  append_frame(buf, type, payload);
+  service::append_frame(buf, type, payload);
   sock.write_all(buf.data(), buf.size(), timeout_ms);
 }
 

@@ -118,10 +118,6 @@ void write_stream_header(Socket& sock, Channel channel, int timeout_ms);
 
 // --- frame I/O --------------------------------------------------------------
 
-/// Frame bytes (type | len | payload | crc) appended to `out`.
-void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload);
-
 void write_frame(Socket& sock, std::uint8_t type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms);
 

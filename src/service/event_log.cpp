@@ -187,6 +187,20 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
+                  const std::vector<std::uint8_t>& payload) {
+  const std::size_t start = out.size();
+  out.reserve(start + 1 + sizeof(std::uint32_t) + payload.size() +
+              sizeof(std::uint32_t));
+  put(out, type);
+  put(out, static_cast<std::uint32_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+  // The CRC covers type + length + payload, so a frame whose header
+  // bytes rot is as detectable as one whose payload does.
+  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
+  put(out, crc);
+}
+
 // --- record codec -----------------------------------------------------------
 
 RecordType record_type(const EventRecord& record) {
@@ -336,24 +350,17 @@ void EventLogWriter::frame(RecordType type,
   }
   const obs::Tracer::Span span =
       obs::maybe_span(tracer_, "eventlog/write", "eventlog");
-  // CRC covers type + length + payload, so a frame whose header bytes
-  // rot is as detectable as one whose payload does.
   std::vector<std::uint8_t> buf;
-  buf.reserve(1 + sizeof(std::uint32_t) + payload.size());
-  put(buf, static_cast<std::uint8_t>(type));
-  put(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(buf.data(), buf.size());
+  append_frame(buf, static_cast<std::uint8_t>(type), payload);
   out_.write(reinterpret_cast<const char*>(buf.data()),
              static_cast<std::streamsize>(buf.size()));
-  out_.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   if (!out_) {
     throw std::runtime_error("EventLogWriter: write failed for " + path_);
   }
-  bytes_ += static_cast<std::int64_t>(buf.size() + sizeof(crc));
+  bytes_ += static_cast<std::int64_t>(buf.size());
   ++frames_;
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(buf.size() + sizeof(crc)));
+  m_bytes_.add(static_cast<double>(buf.size()));
 }
 
 void EventLogWriter::write(const SessionMeta& meta) {
@@ -403,6 +410,11 @@ EventLogReader::EventLogReader(const std::string& path, obs::Taps taps)
         taps.metrics->counter("cebis_eventlog_crc_failures_total",
                               "Frames rejected for a checksum mismatch");
   }
+  // The size bounds every frame's length prefix (next()). A stream that
+  // cannot seek fails the header read below.
+  in_.seekg(0, std::ios::end);
+  file_size_ = static_cast<std::int64_t>(in_.tellg());
+  in_.seekg(0);
   std::array<char, kHeaderSize> header{};
   in_.read(header.data(), header.size());
   if (in_.gcount() != static_cast<std::streamsize>(header.size())) {
@@ -440,24 +452,30 @@ std::optional<EventRecord> EventLogReader::next() {
             record_type_name(type) + " frame",
         frame_offset);
   }
+  // The prefix is 32 bits, so one corrupt length could claim a 4 GiB
+  // frame: check it, plus the checksum, against the bytes the file has
+  // left BEFORE sizing a buffer from it.
+  const std::int64_t left = file_size_ - frame_offset - 1 -
+                            static_cast<std::int64_t>(sizeof(payload_len));
+  if (std::int64_t{payload_len} + 4 > left) {  // + the u32 checksum
+    throw EventLogError(
+        std::string("torn frame: the length prefix of a ") +
+            record_type_name(type) + " frame claims " +
+            std::to_string(payload_len) + " payload bytes, but only " +
+            std::to_string(left) + " bytes (payload and checksum) follow it",
+        frame_offset);
+  }
   std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);
   buf[0] = type;
   std::memcpy(buf.data() + 1, &payload_len, sizeof(payload_len));
   in_.read(reinterpret_cast<char*>(buf.data() + 1 + sizeof(payload_len)),
            payload_len);
-  if (in_.gcount() != static_cast<std::streamsize>(payload_len)) {
-    throw EventLogError(
-        std::string("torn frame: end of file inside the payload of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
-  }
   std::uint32_t stored_crc = 0;
   in_.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(stored_crc))) {
-    throw EventLogError(
-        std::string("torn frame: end of file before the checksum of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
+  if (!in_) {  // the file shrank after it was opened
+    throw EventLogError(std::string("torn frame: end of file inside a ") +
+                            record_type_name(type) + " frame",
+                        frame_offset);
   }
   const std::uint32_t computed = crc32(buf.data(), buf.size());
   if (computed != stored_crc) {

@@ -184,8 +184,9 @@ class EventLogReader {
   explicit EventLogReader(const std::string& path, obs::Taps taps = {});
 
   /// The next record, or nullopt at clean end-of-log. Throws
-  /// EventLogError on a torn frame, CRC mismatch, unknown type or
-  /// malformed payload.
+  /// EventLogError on a torn frame (including a length prefix reaching
+  /// past the end of the file), CRC mismatch, unknown type or malformed
+  /// payload.
   [[nodiscard]] std::optional<EventRecord> next();
 
   /// Byte offset the next frame starts at.
@@ -193,6 +194,7 @@ class EventLogReader {
 
  private:
   std::ifstream in_;
+  std::int64_t file_size_ = 0;
   std::int64_t offset_ = 0;
   obs::Counter m_frames_;
   obs::Counter m_bytes_;
@@ -213,15 +215,21 @@ struct RecordedSession {
 
 [[nodiscard]] RecordedSession read_session(const std::string& path);
 
-/// IEEE 802.3 CRC-32 (the log's frame checksum; exposed for tests).
-[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
-
 // --- Record codec ---------------------------------------------------------
 //
-// The (type, payload) encoding of each record, shared with the network
-// transport (src/net/): a record framed off a socket is byte-identical
-// to the one the file log appends, so a server can append ingested
-// frames verbatim and replay-equals-live holds for socket sessions.
+// The (type, payload) encoding of each record and the frame around it,
+// shared with the network transport (src/net/): a record framed off a
+// socket is byte-identical to the one the file log appends, so a server
+// can append ingested frames verbatim and replay-equals-live holds for
+// socket sessions.
+
+/// IEEE 802.3 CRC-32 (the frame checksum).
+[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+
+/// Appends one frame, `u8 type | u32 payload_len | payload | u32 crc32`,
+/// to `out`. The log writer and every socket writer frame through it.
+void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
+                  const std::vector<std::uint8_t>& payload);
 
 /// The wire type tag of a record.
 [[nodiscard]] RecordType record_type(const EventRecord& record);

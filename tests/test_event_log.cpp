@@ -250,6 +250,43 @@ TEST(EventLog, TornFinalFrameNamesTheByteOffset) {
   }
 }
 
+TEST(EventLog, RejectsFrameLengthPastEndOfFile) {
+  // A frame's 32-bit length prefix is checked against the bytes the file
+  // has left BEFORE the reader sizes a buffer from it. Unchecked, a
+  // prefix of 0xFFFFFFFF would make the reader zero 4 GiB before it
+  // found the file too short.
+  test::TempFile file("event_log_length.eventlog");
+  std::int64_t second_frame_at = 0;
+  std::uint32_t payload_len = 0;
+  {
+    EventLogWriter writer(file.path());
+    writer.write(small_meta());
+    second_frame_at = writer.bytes_written();
+    writer.write(PriceTickRecord{HubId(0), 5, 10.0});
+    // The frame is type + length + payload + CRC.
+    payload_len = static_cast<std::uint32_t>(writer.bytes_written() -
+                                             second_frame_at - 1 - 4 - 4);
+    writer.close();
+  }
+  // Four billion bytes too long, and one byte too long.
+  for (const std::uint32_t claimed : {0xFFFFFFFFu, payload_len + 1}) {
+    for (int i = 0; i < 4; ++i) {
+      poke(file.path(), second_frame_at + 1 + i,
+           static_cast<char>((claimed >> (8 * i)) & 0xFFu));
+    }
+    EventLogReader reader(file.path());
+    ASSERT_TRUE(reader.next().has_value());  // the intact meta frame
+    try {
+      (void)reader.next();
+      FAIL() << "a length prefix past the end of the file must throw";
+    } catch (const EventLogError& e) {
+      EXPECT_EQ(e.byte_offset(), second_frame_at);
+      EXPECT_NE(std::string(e.what()).find("length prefix"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(EventLog, CrcMismatchNamesTheByteOffset) {
   test::TempFile file("event_log_crc.eventlog");
   std::int64_t second_frame_at = 0;

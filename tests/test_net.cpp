@@ -26,8 +26,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <functional>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -152,11 +156,44 @@ struct SocketPair {
   Socket server;
   SocketPair() {
     client = connect_to("127.0.0.1", listener.port(), 2000);
-    std::optional<Socket> accepted = listener.accept(2000);
-    if (!accepted) throw NetError("SocketPair: accept timed out");
+    std::optional<Socket> accepted = listener.accept();
+    if (!accepted) throw NetError("SocketPair: accept failed");
     server = std::move(*accepted);
   }
 };
+
+/// Calls listener.accept() on a second thread, runs `wake` on this one,
+/// and returns what accept() returned. A regression must fail the test,
+/// not hang it: an accept() still blocked after 5 s cannot be joined, so
+/// the test fails and the process ends.
+std::optional<Socket> accept_after(Listener& listener,
+                                   const std::function<void()>& wake) {
+  std::promise<std::optional<Socket>> accepted;
+  std::future<std::optional<Socket>> result = accepted.get_future();
+  std::thread acceptor([&] { accepted.set_value(listener.accept()); });
+  wake();
+  if (result.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    ADD_FAILURE() << "accept() still blocked 5 s after the wake";
+    std::abort();
+  }
+  acceptor.join();
+  return result.get();
+}
+
+TEST(NetWireTest, ShutdownWakesABlockedAccept) {
+  Listener listener(0);
+  // shutdown() from another thread wakes an accept() already blocked.
+  const auto shut_down_later = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    listener.shutdown();
+  };
+  EXPECT_FALSE(accept_after(listener, shut_down_later).has_value());
+  // A later accept() returns at once, a repeated shutdown() is harmless,
+  // and the port refuses new connections.
+  listener.shutdown();
+  EXPECT_FALSE(accept_after(listener, [] {}).has_value());
+  EXPECT_THROW((void)connect_to("127.0.0.1", listener.port(), 2000), NetError);
+}
 
 TEST(NetWireTest, FrameReaderAcceptsCleanCloseAtBoundary) {
   SocketPair pair;
@@ -174,13 +211,15 @@ TEST(NetWireTest, FrameReaderAcceptsCleanCloseAtBoundary) {
 TEST(NetWireTest, FrameReaderRejectsTornFrame) {
   SocketPair pair;
   std::vector<std::uint8_t> bytes;
-  append_frame(bytes, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
-               encode_telemetry(TelemetryFrame{}));
+  service::append_frame(bytes,
+                        static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                        encode_telemetry(TelemetryFrame{}));
   // First frame whole, second frame cut mid-payload: the reader must
   // name the offset the TORN frame began at, not the stream start.
   const std::size_t first_end = bytes.size();
-  append_frame(bytes, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
-               encode_telemetry(TelemetryFrame{}));
+  service::append_frame(bytes,
+                        static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                        encode_telemetry(TelemetryFrame{}));
   bytes.resize(first_end + 7);
   pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
   pair.client.close();
@@ -198,8 +237,9 @@ TEST(NetWireTest, FrameReaderRejectsTornFrame) {
 TEST(NetWireTest, FrameReaderRejectsCorruptCrc) {
   SocketPair pair;
   std::vector<std::uint8_t> bytes;
-  append_frame(bytes, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
-               encode_telemetry(TelemetryFrame{}));
+  service::append_frame(bytes,
+                        static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                        encode_telemetry(TelemetryFrame{}));
   bytes[bytes.size() / 2] ^= 0x40;  // flip one payload bit
   pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
   FrameReader reader(pair.server);
@@ -495,10 +535,9 @@ TEST_F(NetLoopbackTest, CorruptFrameClosesConnectionButSessionSurvives) {
     // ...then a CRC-corrupted tick: the strict reader must drop the
     // connection without ingesting it.
     std::vector<std::uint8_t> bytes;
-    append_frame(bytes,
-                 static_cast<std::uint8_t>(service::RecordType::kPriceTick),
-                 service::encode_record(
-                     service::EventRecord{feed.ticks[hubs]}));
+    service::append_frame(
+        bytes, static_cast<std::uint8_t>(service::RecordType::kPriceTick),
+        service::encode_record(service::EventRecord{feed.ticks[hubs]}));
     bytes.back() ^= 0xff;
     feeder.sock.write_all(bytes.data(), bytes.size(), kIoMs);
     EXPECT_TRUE(feeder.server_closed());
@@ -590,6 +629,55 @@ TEST_F(NetLoopbackTest, SessionMetaSeedMustMatchEmbeddedFixture) {
   EXPECT_GE(report.protocol_errors, 1);
 }
 
+TEST_F(NetLoopbackTest, EventLogWriteFailureEscapesServe) {
+  // An unwritable log is the server's failure, not the feeder's: serve()
+  // throws it instead of counting a protocol error and waiting for a
+  // reconnect.
+  ServerOptions options = loopback_options("/nonexistent/net_unwritable.log");
+  options.fixture = fixture_;
+  Server server(options);
+  std::exception_ptr error;
+  std::thread serving([&] {
+    try {
+      (void)server.serve();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  {
+    RawFeeder feeder(server.ingest_port());
+    service::SessionMeta meta;
+    meta.seed = test::kTestSeed;
+    feeder.send(service::EventRecord{meta});
+    EXPECT_TRUE(feeder.server_closed());
+  }
+  server.stop();  // so a swallowed error fails the test instead of hanging it
+  serving.join();
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+}
+
+TEST_F(NetLoopbackTest, ServerLifecyclesDoNotWaitOutAPoll) {
+  // stop() wakes all three accept loops (ingest, subscribers, /metrics),
+  // so a server's lifetime has no floor: ten whole lifecycles, each
+  // with HTTP on and a subscriber attached, take a few milliseconds. An
+  // accept loop that polled a stop flag every 100 ms would cost each
+  // cycle up to 100 ms.
+  test::TempFile server_log("net_lifecycles.eventlog");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    ServerHarness harness(loopback_options(server_log.path()));
+    Socket subscriber =
+        connect_to("127.0.0.1", harness.server().subscribe_port(), 2000);
+    write_stream_header(subscriber, Channel::kSubscribe, kIoMs);
+    EXPECT_FALSE(harness.stop_and_join().result.has_value());
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+      500);
+}
+
 TEST_F(NetLoopbackTest, SlowSubscriberHitsDropPolicyWithoutStallingPublish) {
   SubscriberHubOptions options;
   options.queue_capacity = 4;
@@ -636,6 +724,8 @@ TEST_F(NetLoopbackTest, SubscribersCannotPerturbTheDecisionStream) {
   ServerOptions options = loopback_options(server_log.path());
   options.subscriber_queue_capacity = 8;  // make drops plausible
   options.fixture = fixture_;  // the embedded-fixture path
+  obs::MetricsRegistry registry;
+  options.taps.metrics = &registry;  // to see the subscribers register
   ServerHarness harness(options);
   const std::uint16_t sub_port = harness.server().subscribe_port();
 
@@ -689,6 +779,19 @@ TEST_F(NetLoopbackTest, SubscribersCannotPerturbTheDecisionStream) {
     } catch (const NetError&) {
     }
   });
+
+  // Feed once all eight are registered: the feed takes milliseconds,
+  // so on a loaded host it could otherwise end before some subscribers
+  // connect.
+  const auto connected = [&] {
+    return registry.snapshot().value_or(
+        "cebis_net_subscribers_connected_total", 0.0);
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (connected() < 8.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   FeedClientOptions client_options;
   client_options.port = harness.server().ingest_port();
