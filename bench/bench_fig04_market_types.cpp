@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const auto da = prices.da[nyc.index()].slice(window);
     const market::HourlySeries rt_series(
         window, std::vector<double>(rt.begin(), rt.end()));
-    const auto fm = sim.five_minute_series(nyc, rt_series);
+    const auto fm = sim.sub_hourly_series(nyc, rt_series, 12);
 
     double rt_sigma = stats::stddev(rt);
     double da_sigma = stats::stddev(da);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const auto rt = prices.rt[nyc.index()].slice(q1);
   const auto da = prices.da[nyc.index()].slice(q1);
   const market::HourlySeries rt_series(q1, std::vector<double>(rt.begin(), rt.end()));
-  const auto fm = sim.five_minute_series(nyc, rt_series);
+  const auto fm = sim.sub_hourly_series(nyc, rt_series, 12);
 
   io::Table table({"window", "RT sigma", "[paper]", "DA sigma", "[paper]"});
   io::CsvWriter csv(bench::csv_path("fig05_volatility_windows"));

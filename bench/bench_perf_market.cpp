@@ -50,7 +50,7 @@ void BM_FiveMinuteSeries(benchmark::State& state) {
   const market::PriceSet set = sim.generate(period);
   const HubId nyc = market::HubRegistry::instance().by_code("NYC");
   for (auto _ : state) {
-    const auto fm = sim.five_minute_series(nyc, set.rt[nyc.index()]);
+    const auto fm = sim.sub_hourly_series(nyc, set.rt[nyc.index()], 12);
     benchmark::DoNotOptimize(fm.data());
   }
   state.SetItemsProcessed(state.iterations() * period.hours() * 12);

@@ -5,7 +5,8 @@ Three checks, one hard and two soft:
 
 * Figure gate (hard): the rows each gated figure bench
   (bench_ext_battery_arbitrage, bench_ext_five_minute_market,
-  bench_ext_delay_steps) wrote to
+  bench_ext_delay_steps, bench_ext_demand_response,
+  bench_ext_day_ahead_hedging, bench_ext_five_minute_routing) wrote to
   its CSV must match the pinned rows exactly at the printed precision
   (same key cell, same dollars to the cent), every pinned row must be
   PRESENT in the CSV (a silently dropped row is as much a behaviour
@@ -75,6 +76,21 @@ FIGURE_GATES = {
         "csv": "cebis_ext_delay_steps.csv",
         "keys": ("reaction_delay_min",),
         "values": ("baseline_usd", "optimized_usd", "saved_pct"),
+    },
+    "bench_ext_demand_response": {
+        "csv": "cebis_ext_demand_response.csv",
+        "keys": ("metric",),
+        "values": ("value",),
+    },
+    "bench_ext_day_ahead_hedging": {
+        "csv": "cebis_ext_day_ahead_hedging.csv",
+        "keys": ("structure",),
+        "values": ("cost_usd", "daily_sigma_usd"),
+    },
+    "bench_ext_five_minute_routing": {
+        "csv": "cebis_ext_five_minute_routing.csv",
+        "keys": ("granularity",),
+        "values": ("cost_usd",),
     },
 }
 

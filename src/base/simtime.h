@@ -108,11 +108,6 @@ struct Period {
 /// The 24-day Akamai trace window (2008-12-17 .. 2009-01-10).
 [[nodiscard]] Period trace_period() noexcept;
 
-/// Number of 5-minute steps in a period.
-[[nodiscard]] constexpr std::int64_t five_min_steps(const Period& p) noexcept {
-  return p.hours() * 12;
-}
-
 /// True when `samples_per_hour` is a valid sub-hourly sampling rate: at
 /// least one sample per hour, with a whole number of minutes per sample
 /// (1 = hourly, 4 = 15-minute, 12 = five-minute). The single source of
@@ -122,9 +117,33 @@ struct Period {
   return samples_per_hour >= 1 && 60 % samples_per_hour == 0;
 }
 
-/// Hour containing a 5-minute step offset from a period start.
-[[nodiscard]] constexpr HourIndex hour_of_step(const Period& p, std::int64_t step) noexcept {
-  return p.begin + step / 12;
+/// True when two per-hour cadences nest: both at least 1 and one dividing
+/// the other (12 over 4 or 4 over 12, not 12 over 5). See step_rows.
+[[nodiscard]] constexpr bool cadences_nest(int steps_per_hour,
+                                           int rows_per_hour) noexcept {
+  return steps_per_hour >= 1 && rows_per_hour >= 1 &&
+         (steps_per_hour % rows_per_hour == 0 ||
+          rows_per_hour % steps_per_hour == 0);
+}
+
+/// The rows of an interval grid one accounting step covers, counted from
+/// the hour the steps start at (`count` > 1 only for a coarser step).
+struct StepRows {
+  std::int64_t first = 0;
+  std::int64_t count = 1;
+};
+
+/// The one step-to-interval mapping (price refresh, energy recording,
+/// storage metering, live price sealing): step `step` at
+/// `steps_per_hour` lies inside one row of a `rows_per_hour` grid, or
+/// covers rows_per_hour / steps_per_hour whole rows when coarser. Hourly
+/// rows are rows_per_hour = 1. Requires step >= 0 and cadences_nest.
+[[nodiscard]] constexpr StepRows step_rows(std::int64_t step,
+                                           int steps_per_hour,
+                                           int rows_per_hour) noexcept {
+  const int rows_per_step = rows_per_hour / steps_per_hour;
+  return StepRows{step * rows_per_hour / steps_per_hour,
+                  rows_per_step > 1 ? rows_per_step : 1};
 }
 
 }  // namespace cebis

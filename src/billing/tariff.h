@@ -19,8 +19,7 @@
 // via base/simtime.h. Billed demand is the schedule's percentile of the
 // month's *interval* average power, so a 5-minute market meters demand
 // on 5-minute intervals, exactly like the real sub-hourly demand meters
-// commercial tariffs read. bill_hourly_load() is the hourly special
-// case.
+// commercial tariffs read; hourly metering is samples_per_hour = 1.
 
 #include <span>
 #include <vector>
@@ -42,7 +41,7 @@ struct TariffSchedule {
   /// demand component (pure energy tariff).
   Usd demand_usd_per_kw_month{0.0};
   /// Billed demand = this percentile of the month's interval-average kW
-  /// series (hourly under bill_hourly_load), in (0, 100]. 100 bills the
+  /// series (hourly at samples_per_hour = 1), in (0, 100]. 100 bills the
   /// true monthly peak; 95 composes with the billed_rate_p95 idiom
   /// (drop the top 5% of intervals).
   double demand_percentile = 100.0;
@@ -76,13 +75,6 @@ struct TariffBill {
                                             int samples_per_hour,
                                             std::span<const double> mwh,
                                             std::span<const double> spot = {});
-
-/// The hourly special case (one row per hour of `period`).
-[[nodiscard]] inline TariffBill bill_hourly_load(
-    const TariffSchedule& schedule, Period period, std::span<const double> mwh,
-    std::span<const double> spot = {}) {
-  return bill_interval_load(schedule, period, 1, mwh, spot);
-}
 
 }  // namespace cebis::billing
 

@@ -71,7 +71,6 @@ class HourlyEnergyRecorder final : public StepObserver {
  private:
   bool native_intervals_ = false;
   HourlyEnergy energy_;
-  HourIndex begin_ = 0;
   int steps_per_hour_ = 1;
   int rows_per_hour_ = 1;
 };

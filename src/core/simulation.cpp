@@ -133,7 +133,7 @@ struct SimulationEngine::Session::State {
   std::vector<stats::StreamingPercentile> load_p95;
 
   HourIndex cached_hour;
-  int cached_sub = -1;
+  std::int64_t cached_interval;  ///< first absolute price interval priced
   std::int64_t step = 0;
   std::int64_t steps_total;
   bool finished = false;
@@ -179,6 +179,7 @@ struct SimulationEngine::Session::State {
         budgets(std::vector<double>(n_clusters, 0.0)),
         alloc(n_states, n_clusters),
         cached_hour(period.begin - 1),
+        cached_interval(period.begin * psph - 1),
         steps_total(wl.steps()) {}
 
   void step_once();
@@ -209,18 +210,27 @@ SimulationEngine::Session SimulationEngine::begin(
         std::to_string(priced.begin) + ", " + std::to_string(priced.end) + ")");
   }
   for (const Cluster& c : clusters_) {
-    if (prices_.rt.at(c.hub.index()).empty()) {
+    const market::PriceSeries& rt = prices_.rt.at(c.hub.index());
+    if (rt.empty()) {
       throw std::invalid_argument(
           "SimulationEngine::run: no real-time prices for hub of cluster '" +
           std::string(c.label) + "'");
+    }
+    // Steps read native samples, so a series sampled at another rate
+    // than the set declares would misprice (or throw mid-run).
+    if (rt.samples_per_hour() != psph) {
+      throw std::invalid_argument(
+          "SimulationEngine::run: real-time prices for hub of cluster '" +
+          std::string(c.label) + "' carry " +
+          std::to_string(rt.samples_per_hour()) +
+          " samples per hour, the price set declares " + std::to_string(psph));
     }
   }
   if (workload.state_count() > distances_.state_count()) {
     throw std::invalid_argument(
         "SimulationEngine::run: workload has more states than the distance model");
   }
-  const int sph = workload.steps_per_hour();
-  if (psph < 1 || (psph > 1 && sph % psph != 0 && psph % sph != 0)) {
+  if (!cadences_nest(workload.steps_per_hour(), psph)) {
     throw std::invalid_argument(
         "SimulationEngine::run: workload steps and the price set's native "
         "interval must nest (one samples-per-hour must divide the other)");
@@ -298,13 +308,7 @@ void SimulationEngine::Session::State::step_once() {
 
   if (hour != cached_hour) {
     cached_hour = hour;
-    cached_sub = -1;
     for (std::size_t c = 0; c < n_clusters; ++c) {
-      if (psph == 1) {
-        price[c] = prices.rt_at(clusters[c].hub, hour - delay).value();
-        // Billing uses the concurrent price, not the stale routing price.
-        bill_price[c] = prices.rt_at(clusters[c].hub, hour).value();
-      }
       double factor = 1.0;
       if (config.capacity_factor) {
         factor = std::clamp(config.capacity_factor(c, hour), 0.0, 1.0);
@@ -325,41 +329,29 @@ void SimulationEngine::Session::State::step_once() {
       }
     }
   }
-  if (psph > 1) {
-    // Sub-hourly market: prices refresh on the native interval, not
-    // the hour. Routing reads the settlement `delay` intervals back (an
-    // hour delay lands on the same sub-interval of hour - delay_hours);
-    // billing stays concurrent. A workload stepping coarser than the
-    // market bills at the step's time-mean price, exact since demand
-    // is uniform within a step.
-    const auto routing_price = [&](std::size_t c, int sub) {
-      const std::int64_t abs_interval = hour * psph + sub - delay;
-      const HourIndex h = floor_div(abs_interval, psph);
-      const int s = static_cast<int>(abs_interval - h * psph);
-      return prices.rt_at(clusters[c].hub, h, s).value();
+  // Prices refresh on the market's native interval (hourly: once an
+  // hour). Routing reads the settlement `delay` intervals back, billing
+  // the concurrent one; a step coarser than the market is priced at the
+  // mean of its intervals (exact: demand is uniform within a step). Sums
+  // start from the first interval, so one interval reads bit for bit.
+  const StepRows rows = step_rows(step, sph, psph);
+  const std::int64_t first = period.begin * psph + rows.first;
+  if (first != cached_interval) {
+    cached_interval = first;
+    const auto price_at = [&](std::size_t c, std::int64_t interval) {
+      const HourIndex h = floor_div(interval, psph);
+      const auto sample = static_cast<int>(interval - h * psph);
+      return prices.rt_at(clusters[c].hub, h, sample).value();
     };
-    if (sph >= psph) {
-      const int sub = static_cast<int>((step % sph) * psph / sph);
-      if (sub != cached_sub) {
-        cached_sub = sub;
-        for (std::size_t c = 0; c < n_clusters; ++c) {
-          price[c] = routing_price(c, sub);
-          bill_price[c] = prices.rt_at(clusters[c].hub, hour, sub).value();
-        }
+    for (std::size_t c = 0; c < n_clusters; ++c) {
+      double route_sum = price_at(c, first - delay);
+      double bill_sum = price_at(c, first);
+      for (std::int64_t i = 1; i < rows.count; ++i) {
+        route_sum += price_at(c, first + i - delay);
+        bill_sum += price_at(c, first + i);
       }
-    } else {
-      const int per_step = psph / sph;
-      const int sub0 = static_cast<int>(step % sph) * per_step;
-      for (std::size_t c = 0; c < n_clusters; ++c) {
-        double route_sum = 0.0;
-        double bill_sum = 0.0;
-        for (int i = 0; i < per_step; ++i) {
-          route_sum += routing_price(c, sub0 + i);
-          bill_sum += prices.rt_at(clusters[c].hub, hour, sub0 + i).value();
-        }
-        price[c] = route_sum / per_step;
-        bill_price[c] = bill_sum / per_step;
-      }
+      price[c] = route_sum / static_cast<double>(rows.count);
+      bill_price[c] = bill_sum / static_cast<double>(rows.count);
     }
   }
   if (config.enforce_p95) {
@@ -502,11 +494,6 @@ std::int64_t SimulationEngine::Session::steps_done() const noexcept {
 
 std::int64_t SimulationEngine::Session::steps_total() const noexcept {
   return state_->steps_total;
-}
-
-HourIndex SimulationEngine::Session::current_hour() const noexcept {
-  const std::int64_t step = std::min(state_->step, state_->steps_total - 1);
-  return state_->period.begin + step / state_->sph;
 }
 
 double SimulationEngine::Session::cost_so_far() const noexcept {

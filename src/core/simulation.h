@@ -6,15 +6,15 @@
 // cluster's energy with the §5.1 power model, and bills the energy at
 // the observed hourly market prices.
 //
-// Routing uses prices stale by `delay_hours` (the paper conservatively
-// assumes the system reacts to the previous hour's prices); billing
-// always uses the concurrent price. When the price set carries a native
-// sub-hourly interval (PriceSet::samples_per_hour > 1), both refresh on
-// that interval instead of the hour: routing reads the same sub-interval
-// of hour t - delay, and a workload stepping coarser than the market is
-// billed at the step's time-mean price (exact, since demand is uniform
-// within a step). The workload and market cadences must nest (one
-// divides the other).
+// Prices refresh on the price set's native interval
+// (PriceSet::samples_per_hour; hourly prices are 1): step_rows maps each
+// accounting step onto the intervals it covers. Routing reads the
+// interval `delay` intervals back (the paper conservatively assumes the
+// system reacts to the previous hour's prices, delay_hours = 1); billing
+// always uses the concurrent interval. A workload stepping coarser than
+// the market is priced at the mean of the intervals its step covers
+// (exact, since demand is uniform within a step). The workload and
+// market cadences must nest (cadences_nest).
 //
 // Everything beyond the primary dollar accounting - secondary meters,
 // per-hour energy recording, figure series - is layered on via the
@@ -22,8 +22,8 @@
 //
 // Hot-path layout: the RoutingContext spans are bound to the engine's
 // scratch vectors once per run and only the values are rewritten;
-// price/capacity refreshes happen on hour boundaries so routers can
-// replay their hour-scoped plans across sub-hourly steps; the distance
+// prices refresh once per price interval and capacities once per hour,
+// so routers replay their plans across the steps in between; the distance
 // metrics walk only the allocation's nonzero entries; and the realized
 // 95th percentiles stream through an exact top-K sketch instead of
 // retaining the full per-step load history.
@@ -104,14 +104,11 @@ struct EngineConfig {
 
 /// Per-interval, per-cluster energy in one flat row-major buffer (one
 /// allocation per run instead of one vector per row). Rows are metering
-/// intervals relative to the recorded workload period: hourly by
-/// default (the historical layout), or `samples_per_hour` rows per hour
-/// when constructed for a sub-hourly meter.
+/// intervals relative to the recorded workload period,
+/// `samples_per_hour` rows per hour (1 = one row per hour).
 class HourlyEnergy {
  public:
   HourlyEnergy() = default;
-  HourlyEnergy(std::size_t hours, std::size_t clusters)
-      : clusters_(clusters), data_(hours * clusters, 0.0) {}
   HourlyEnergy(std::size_t hours, int samples_per_hour, std::size_t clusters)
       : clusters_(clusters),
         samples_per_hour_(samples_per_hour),
@@ -238,8 +235,6 @@ class SimulationEngine {
     [[nodiscard]] bool done() const noexcept;
     [[nodiscard]] std::int64_t steps_done() const noexcept;
     [[nodiscard]] std::int64_t steps_total() const noexcept;
-    /// The hour the next step falls in (the last step's hour once done).
-    [[nodiscard]] HourIndex current_hour() const noexcept;
 
     /// Primary dollar/energy accounting accumulated so far (rolling
     /// telemetry between steps; equals the final totals once done).

@@ -30,17 +30,12 @@ struct RunResult;
 /// native 5-minute settlements (ScenarioSpec::market_interval_minutes),
 /// and an hourly workload can bill a finer market at the step's mean
 /// price. One of the two always divides the other (the engine rejects
-/// non-nested combinations).
+/// combinations that fail cadences_nest), and step_rows maps a step onto
+/// the price intervals it covers.
 struct RunInfo {
   Period period;
   int steps_per_hour = 1;         ///< accounting steps per hour
   int price_samples_per_hour = 1; ///< native billing-price interval (1 = hourly)
-
-  /// Price intervals in the run (the natural row count for metering at
-  /// the native interval).
-  [[nodiscard]] std::int64_t price_intervals() const noexcept {
-    return period.hours() * price_samples_per_hour;
-  }
 };
 
 /// Read-only view of one accounted simulation step.

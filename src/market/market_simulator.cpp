@@ -57,6 +57,21 @@ void expect_divides_hour(int samples_per_hour, const char* who) {
   }
 }
 
+/// Validates a sub-hourly view request: a known hub, an interval
+/// dividing the hour and an hourly-sampled base series.
+void expect_sub_hourly_request(const HubRegistry& hubs, HubId hub,
+                               const HourlySeries& hourly,
+                               int samples_per_hour, const char* who) {
+  if (!hub.valid() || hub.index() >= hubs.size()) {
+    throw std::out_of_range(std::string(who) + ": bad hub");
+  }
+  expect_divides_hour(samples_per_hour, who);
+  if (hourly.samples_per_hour() != 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": base series must be hourly");
+  }
+}
+
 }  // namespace
 
 MarketSimulator::MarketSimulator(const HubRegistry& hubs, PriceModelParams params,
@@ -317,65 +332,39 @@ PriceSet MarketSimulator::generate(const Period& period,
   PriceSet set = generate(period);
   if (samples_per_hour == 1) return set;
   set.samples_per_hour = samples_per_hour;
-
-  const int interval_minutes = 60 / samples_per_hour;
-  const FiveMinParams& fm = params_.five_min;
-  const SubHourlyParams sub(fm, samples_per_hour);
-  const Period study = study_period();
-  const auto per_hour = static_cast<std::size_t>(samples_per_hour);
-
+  // Each hub's intra-hour process evolves from the study epoch (the
+  // draws for hours before the window are consumed, not emitted), so
+  // the output is invariant to the requested window.
+  const std::int64_t warmup_hours = period.begin - study_period().begin;
   for (HubId id : hubs_.hourly_hubs()) {
-    const PriceSeries& hourly = set.rt[id.index()];
-    std::vector<double> out;
-    out.reserve(hourly.size() * per_hour);
-    if (interval_minutes < hubs_.info(id).rt_interval_minutes) {
-      // The hub's market settles no finer than its native interval:
-      // every sub-sample repeats the hourly settlement.
-      for (const double hour_price : hourly.values()) {
-        out.insert(out.end(), per_hour, hour_price);
-      }
-    } else {
-      // Same per-hub stream as the Fig 4/5 helper, but evolved from the
-      // study epoch (draws for unwanted hours are consumed, not emitted)
-      // so the output is invariant to the requested window.
-      stats::Rng rng = stats::Rng(seed_).split(kStreamFiveMin + id.index());
-      double ar = 0.0;
-      for (HourIndex t = study.begin; t < period.end; ++t) {
-        const bool want = period.contains(t);
-        const double hour_price = want ? hourly.at(t) : 0.0;
-        for (int i = 0; i < samples_per_hour; ++i) {
-          ar = sub.phi * ar + rng.normal(0.0, sub.inno);
-          double p = hour_price * std::exp(ar - fm.sigma * fm.sigma / 2.0);
-          if (rng.bernoulli(sub.spike_rate)) {
-            p += rng.pareto(fm.spike_scale, 1.8);
-          }
-          if (want) {
-            out.push_back(std::clamp(p, params_.price_floor, params_.price_cap));
-          }
-        }
-      }
-    }
-    set.rt[id.index()] = PriceSeries(period, samples_per_hour, std::move(out));
+    set.rt[id.index()] = intra_hour_view(id, set.rt[id.index()],
+                                         samples_per_hour, warmup_hours);
   }
   return set;
-}
-
-std::vector<double> MarketSimulator::five_minute_series(
-    HubId hub, const HourlySeries& hourly) const {
-  return sub_hourly_series(hub, hourly, 12);
 }
 
 PriceSeries MarketSimulator::sub_hourly_view(HubId hub,
                                              const HourlySeries& hourly,
                                              int samples_per_hour) const {
-  if (!hub.valid() || hub.index() >= hubs_.size()) {
-    throw std::out_of_range("sub_hourly_view: bad hub");
-  }
-  expect_divides_hour(samples_per_hour, "sub_hourly_view");
+  expect_sub_hourly_request(hubs_, hub, hourly, samples_per_hour,
+                            "sub_hourly_view");
+  return intra_hour_view(hub, hourly, samples_per_hour, 0);
+}
+
+std::vector<double> MarketSimulator::sub_hourly_series(
+    HubId hub, const HourlySeries& hourly, int samples_per_hour) const {
+  expect_sub_hourly_request(hubs_, hub, hourly, samples_per_hour,
+                            "sub_hourly_series");
+  return intra_hour_samples(hub, hourly.values(), samples_per_hour, 0);
+}
+
+PriceSeries MarketSimulator::intra_hour_view(HubId hub,
+                                             const HourlySeries& hourly,
+                                             int samples_per_hour,
+                                             std::int64_t warmup_hours) const {
   if (60 / samples_per_hour < hubs_.info(hub).rt_interval_minutes) {
     // The hub's market settles no finer than its native interval:
-    // every sub-sample repeats the hourly settlement (same rule as
-    // generate(period, samples_per_hour)).
+    // every sub-sample repeats the hourly settlement.
     std::vector<double> flat;
     flat.reserve(hourly.size() * static_cast<std::size_t>(samples_per_hour));
     for (const double hour_price : hourly.values()) {
@@ -385,32 +374,35 @@ PriceSeries MarketSimulator::sub_hourly_view(HubId hub,
     return PriceSeries(hourly.period(), samples_per_hour, std::move(flat));
   }
   return PriceSeries(hourly.period(), samples_per_hour,
-                     sub_hourly_series(hub, hourly, samples_per_hour));
+                     intra_hour_samples(hub, hourly.values(), samples_per_hour,
+                                        warmup_hours));
 }
 
-std::vector<double> MarketSimulator::sub_hourly_series(
-    HubId hub, const HourlySeries& hourly, int samples_per_hour) const {
-  if (!hub.valid() || hub.index() >= hubs_.size()) {
-    throw std::out_of_range("sub_hourly_series: bad hub");
-  }
-  expect_divides_hour(samples_per_hour, "sub_hourly_series");
-  if (hourly.samples_per_hour() != 1) {
-    throw std::invalid_argument("sub_hourly_series: base series must be hourly");
-  }
+std::vector<double> MarketSimulator::intra_hour_samples(
+    HubId hub, std::span<const double> hourly, int samples_per_hour,
+    std::int64_t warmup_hours) const {
   const FiveMinParams& fm = params_.five_min;
   const SubHourlyParams sub(fm, samples_per_hour);
   stats::Rng rng = stats::Rng(seed_).split(kStreamFiveMin + hub.index());
   std::vector<double> out;
   out.reserve(hourly.size() * static_cast<std::size_t>(samples_per_hour));
   double ar = 0.0;
-  for (double hour_price : hourly.values()) {
+  const std::int64_t hours =
+      warmup_hours + static_cast<std::int64_t>(hourly.size());
+  for (std::int64_t t = 0; t < hours; ++t) {
+    // A warm-up hour makes exactly the draws an emitted hour makes.
+    const bool emit = t >= warmup_hours;
+    const double hour_price =
+        emit ? hourly[static_cast<std::size_t>(t - warmup_hours)] : 0.0;
     for (int i = 0; i < samples_per_hour; ++i) {
       ar = sub.phi * ar + rng.normal(0.0, sub.inno);
       double p = hour_price * std::exp(ar - fm.sigma * fm.sigma / 2.0);
       if (rng.bernoulli(sub.spike_rate)) {
         p += rng.pareto(fm.spike_scale, 1.8);
       }
-      out.push_back(std::clamp(p, params_.price_floor, params_.price_cap));
+      if (emit) {
+        out.push_back(std::clamp(p, params_.price_floor, params_.price_cap));
+      }
     }
   }
   return out;

@@ -6,7 +6,7 @@
 // Produces the three market views the paper analyzes (§2.2, §3):
 //  - hourly real-time prices for the 29 hourly hubs (the routing input),
 //  - hourly day-ahead prices (smoother, based on previous-day factors),
-//  - five-minute real-time prices derived from the hourly series (Fig 4/5),
+//  - sub-hourly real-time prices derived from the hourly series (Fig 4/5),
 // plus daily day-ahead peak averages for any hub including the
 // non-market Northwest (Fig 3).
 //
@@ -16,6 +16,7 @@
 // the same hours inside a 39-month run.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/simtime.h"
@@ -53,19 +54,14 @@ class MarketSimulator {
   [[nodiscard]] PriceSet generate(const Period& period,
                                   int samples_per_hour) const;
 
-  /// Five-minute real-time series for one hub, 12 samples per hour of
-  /// `hourly` (paper Fig 4's "Real-time 5-min" curve).
-  [[nodiscard]] std::vector<double> five_minute_series(HubId hub,
-                                                       const HourlySeries& hourly) const;
-
-  /// Generalization of five_minute_series to any interval dividing the
-  /// hour: `samples_per_hour` sub-samples around each hour of `hourly`
-  /// (which must itself be hourly-sampled). The AR(1) deviation process
-  /// is time-rescaled so its per-5-minute persistence matches the Fig 4
-  /// calibration at every interval; at samples_per_hour == 12 this is
-  /// byte-identical to five_minute_series. Unlike generate(period,
-  /// samples_per_hour) the process starts fresh at the series begin
-  /// (figure-bench semantics, not window-invariant).
+  /// Intra-hour real-time samples for one hub: `samples_per_hour`
+  /// sub-samples (dividing 60) around each hour of `hourly`, which must
+  /// itself be hourly-sampled. The AR(1) deviation process is
+  /// time-rescaled so its per-5-minute persistence matches the Fig 4
+  /// calibration at every interval; 12 gives paper Fig 4's "Real-time
+  /// 5-min" curve. Unlike generate(period, samples_per_hour) the
+  /// process starts fresh at the series begin (figure-bench semantics,
+  /// not window-invariant).
   [[nodiscard]] std::vector<double> sub_hourly_series(HubId hub,
                                                       const HourlySeries& hourly,
                                                       int samples_per_hour) const;
@@ -92,6 +88,19 @@ class MarketSimulator {
   const HubRegistry& hubs_;
   PriceModelParams params_;
   std::uint64_t seed_;
+
+  /// `hourly` at `samples_per_hour`: the one flat-hour rule (a hub whose
+  /// market settles coarser repeats each hour), else intra_hour_samples.
+  [[nodiscard]] PriceSeries intra_hour_view(HubId hub,
+                                            const HourlySeries& hourly,
+                                            int samples_per_hour,
+                                            std::int64_t warmup_hours) const;
+  /// The one intra-hour sampler: the hub's AR(1) stream around `hourly`
+  /// after `warmup_hours` hours of draws consumed unemitted (the hours
+  /// from the study epoch to generate()'s window; 0 for the views).
+  [[nodiscard]] std::vector<double> intra_hour_samples(
+      HubId hub, std::span<const double> hourly, int samples_per_hour,
+      std::int64_t warmup_hours) const;
 
   // Per-RTO Cholesky factors of the spatial innovation kernel, indexed
   // by RTO; rto_members_ gives the hub ids in factor order.

@@ -5,11 +5,7 @@
 namespace cebis::market {
 
 PriceSeries::PriceSeries(Period period, std::vector<double> values)
-    : period_(period), values_(std::move(values)) {
-  if (static_cast<std::int64_t>(values_.size()) != period_.hours()) {
-    throw std::invalid_argument("PriceSeries: size does not match period");
-  }
-}
+    : PriceSeries(period, 1, std::move(values)) {}
 
 PriceSeries::PriceSeries(Period period, int samples_per_hour,
                          std::vector<double> values)

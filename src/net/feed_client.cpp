@@ -19,6 +19,7 @@ namespace {
 constexpr std::size_t kFlushBytes = 32u << 10;
 
 IngestStatusFrame read_status(FrameReader& reader, int timeout_ms) {
+  const std::int64_t frame_offset = reader.offset();
   std::optional<Frame> frame = reader.next(timeout_ms);
   if (!frame) {
     throw NetError("server closed before sending an IngestStatus");
@@ -26,9 +27,9 @@ IngestStatusFrame read_status(FrameReader& reader, int timeout_ms) {
   if (frame->type != static_cast<std::uint8_t>(NetFrameType::kIngestStatus)) {
     throw WireError(std::string("expected IngestStatus, got ") +
                         frame_type_name(frame->type),
-                    reader.offset());
+                    frame_offset);
   }
-  return decode_ingest_status(frame->payload, reader.offset());
+  return decode_ingest_status(frame->payload, frame_offset);
 }
 
 }  // namespace

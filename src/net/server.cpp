@@ -196,79 +196,87 @@ struct Server::Impl {
     FrameReader reader(sock);
     for (;;) {
       if (stopping.load(std::memory_order_relaxed)) return false;
+      const std::int64_t frame_offset = reader.offset();
       std::optional<Frame> frame = reader.next(options.read_timeout_ms);
       if (!frame) {
         event("feeder disconnected at byte offset " +
-              std::to_string(reader.offset()));
+              std::to_string(frame_offset));
         return false;
       }
       m_frames.add();
-      const std::int64_t frame_offset =
-          reader.offset();  // one past this frame; good enough for provenance
-      if (frame->type == static_cast<std::uint8_t>(NetFrameType::kFeedEnd)) {
-        pump();
-        if (live == nullptr || !live->done() || !pending.empty()) {
-          throw WireError(
-              "feed ended before the session completed (" +
-                  std::to_string(live ? live->steps_done() : 0) + " of " +
-                  std::to_string(live ? live->steps_total() : 0) +
-                  " steps advanced, " + std::to_string(pending.size()) +
-                  " steps waiting on unsealed prices)",
-              frame_offset);
-        }
-        report.result = live->finish();
-        log->close();
-        finished = true;
-        publish_feed_end();
-        write_frame(sock,
-                    static_cast<std::uint8_t>(NetFrameType::kIngestStatus),
-                    encode_ingest_status(status()), kWriteTimeoutMs);
-        event("feed complete: " + std::to_string(report.steps_ingested) +
-              " steps, " + std::to_string(report.ticks_ingested) + " ticks");
-        return true;
-      }
-      const service::EventRecord record = service::decode_record(
-          frame->type, frame->payload, frame_offset);
-      if (const auto* meta = std::get_if<service::SessionMeta>(&record)) {
-        if (live != nullptr) {
-          throw WireError("SessionMeta on an already-open session",
-                          frame_offset);
-        }
-        open_session(*meta);
-      } else if (const auto* tick =
-                     std::get_if<service::PriceTickRecord>(&record)) {
-        if (live == nullptr) {
-          throw WireError("PriceTick before SessionMeta", frame_offset);
-        }
-        live->on_price_tick(tick->hub, tick->interval, tick->price);
-        ++report.ticks_ingested;
-        pump();
-      } else if (const auto* step =
-                     std::get_if<service::WorkloadStepRecord>(&record)) {
-        if (live == nullptr) {
-          throw WireError("WorkloadStep before SessionMeta", frame_offset);
-        }
-        const std::int64_t expected =
-            live->steps_done() + static_cast<std::int64_t>(pending.size());
-        if (step->step != expected) {
-          throw WireError("WorkloadStep out of order: got step " +
-                              std::to_string(step->step) + ", expected " +
-                              std::to_string(expected),
-                          frame_offset);
-        }
-        pending.push_back(step->demand);
-        ++report.steps_ingested;
-        pump();
-      } else {
-        // RoutingDecision / StorageAction are server OUTPUTS; a feeder
-        // sending one is confused.
-        throw WireError(
-            std::string("unexpected ") +
-                service::record_type_name(frame->type) +
-                " frame on the ingest channel",
-            frame_offset);
+      try {
+        if (apply_frame(sock, *frame, frame_offset)) return true;
+      } catch (const std::logic_error& e) {
+        // A TickAssembler / LiveEngine rejection (out-of-order tick,
+        // untracked hub, bad demand shape, unbuildable session).
+        throw WireError(e.what(), frame_offset);
       }
     }
+  }
+
+  /// Applies one ingest frame; true when it completed the feed.
+  bool apply_frame(Socket& sock, const Frame& frame,
+                   std::int64_t frame_offset) {
+    if (frame.type == static_cast<std::uint8_t>(NetFrameType::kFeedEnd)) {
+      pump();
+      if (live == nullptr || !live->done() || !pending.empty()) {
+        throw WireError(
+            "feed ended before the session completed (" +
+                std::to_string(live ? live->steps_done() : 0) + " of " +
+                std::to_string(live ? live->steps_total() : 0) +
+                " steps advanced, " + std::to_string(pending.size()) +
+                " steps waiting on unsealed prices)",
+            frame_offset);
+      }
+      report.result = live->finish();
+      log->close();
+      finished = true;
+      publish_feed_end();
+      write_frame(sock, static_cast<std::uint8_t>(NetFrameType::kIngestStatus),
+                  encode_ingest_status(status()), kWriteTimeoutMs);
+      event("feed complete: " + std::to_string(report.steps_ingested) +
+            " steps, " + std::to_string(report.ticks_ingested) + " ticks");
+      return true;
+    }
+    const service::EventRecord record = service::decode_record(
+        frame.type, frame.payload, frame_offset);
+    if (const auto* meta = std::get_if<service::SessionMeta>(&record)) {
+      if (live != nullptr) {
+        throw WireError("SessionMeta on an already-open session", frame_offset);
+      }
+      open_session(*meta);
+    } else if (const auto* tick =
+                   std::get_if<service::PriceTickRecord>(&record)) {
+      if (live == nullptr) {
+        throw WireError("PriceTick before SessionMeta", frame_offset);
+      }
+      live->on_price_tick(tick->hub, tick->interval, tick->price);
+      ++report.ticks_ingested;
+      pump();
+    } else if (const auto* step =
+                   std::get_if<service::WorkloadStepRecord>(&record)) {
+      if (live == nullptr) {
+        throw WireError("WorkloadStep before SessionMeta", frame_offset);
+      }
+      const std::int64_t expected =
+          live->steps_done() + static_cast<std::int64_t>(pending.size());
+      if (step->step != expected) {
+        throw WireError("WorkloadStep out of order: got step " +
+                            std::to_string(step->step) + ", expected " +
+                            std::to_string(expected),
+                        frame_offset);
+      }
+      pending.push_back(step->demand);
+      ++report.steps_ingested;
+      pump();
+    } else {
+      // RoutingDecision / StorageAction are server OUTPUTS; a feeder
+      // sending one is confused.
+      const std::string type = service::record_type_name(frame.type);
+      throw WireError("unexpected " + type + " frame on the ingest channel",
+                      frame_offset);
+    }
+    return false;
   }
 
   void publish_feed_end() {
@@ -287,10 +295,6 @@ struct Server::Impl {
       } catch (const NetError& e) {  // includes TimeoutError
         protocol_error(e.what());
       } catch (const service::EventLogError& e) {  // includes WireError
-        protocol_error(e.what());
-      } catch (const std::logic_error& e) {
-        // TickAssembler / LiveEngine rejection (out-of-order tick,
-        // untracked hub, bad demand shape, unbuildable session).
         protocol_error(e.what());
       }
     }

@@ -497,8 +497,10 @@ RecordedSession read_session(const std::string& path) {
   EventLogReader reader(path);
   RecordedSession session;
   bool have_meta = false;
-  while (auto record = reader.next()) {
+  for (;;) {
     const std::int64_t frame_offset = reader.offset();
+    std::optional<EventRecord> record = reader.next();
+    if (!record) break;
     std::visit(
         [&](auto&& r) {
           using T = std::decay_t<decltype(r)>;

@@ -173,13 +173,11 @@ struct LiveEngine::Impl {
         engine(std::move(clusters), assembler.set(), fixture.distances, cfg) {}
 
   [[nodiscard]] std::int64_t needed_end_for(std::int64_t step) const {
-    const int sph_w = workload.steps_per_hour();
-    const int sph_p = assembler.samples_per_hour();
-    const HourIndex hour = workload.period().begin + step / sph_w;
-    const std::int64_t j = step % sph_w;
     // One past the last native interval the step touches (exact for a
     // finer market, the concurrent interval for a coarser one).
-    return hour * sph_p + ((j + 1) * sph_p + sph_w - 1) / sph_w;
+    const int sph = assembler.samples_per_hour();
+    const StepRows rows = step_rows(step, workload.steps_per_hour(), sph);
+    return workload.period().begin * sph + rows.first + rows.count;
   }
 };
 

@@ -50,10 +50,7 @@ void StorageController::on_run_begin(const core::RunInfo& info,
         "StorageController: per_cluster battery override does not match the "
         "cluster count");
   }
-  if (info.steps_per_hour < 1 || info.price_samples_per_hour < 1 ||
-      (info.price_samples_per_hour >= info.steps_per_hour
-           ? info.price_samples_per_hour % info.steps_per_hour != 0
-           : info.steps_per_hour % info.price_samples_per_hour != 0)) {
+  if (!cadences_nest(info.steps_per_hour, info.price_samples_per_hour)) {
     throw std::invalid_argument(
         "StorageController: accounting steps and the metering interval must "
         "nest (one samples-per-hour must divide the other)");
@@ -119,13 +116,10 @@ double StorageController::raw_demand_floor(std::size_t cluster) {
 }
 
 void StorageController::on_step(const core::StepView& view) {
-  // The metering row containing this step (meter rows per hour times
-  // completed hours, plus the row within the hour).
-  const std::int64_t hour_row = view.hour - period_.begin;
-  const auto step_in_hour =
-      static_cast<std::int64_t>(view.step % steps_per_hour_);
-  const std::int64_t row =
-      hour_row * meter_sph_ + step_in_hour * meter_sph_ / steps_per_hour_;
+  // The metering rows this step covers: the one containing it, or - for
+  // a step coarser than the meter - `per_step` whole rows from `row`.
+  const auto [row, per_step] =
+      step_rows(view.step, steps_per_hour_, meter_sph_);
 
   if (guard_peaks_ && !exact_guard_ && row != guard_row_) {
     // Legacy (meter coarser than step) path: fold the completed interval
@@ -154,11 +148,6 @@ void StorageController::on_step(const core::StepView& view) {
     const int month = month_index(view.hour);
     if (month != guard_month_) begin_month(month);
   }
-
-  // Exact path: every step covers `per_step` whole metering intervals,
-  // so the interval loads are known when the charge decision is made.
-  const std::int64_t per_step =
-      exact_guard_ ? meter_sph_ / steps_per_hour_ : 1;
 
   for (std::size_t c = 0; c < batteries_.size(); ++c) {
     const double load = view.energy_mwh[c];
@@ -209,22 +198,16 @@ void StorageController::on_step(const core::StepView& view) {
       grid -= batteries_[c].discharge(MegawattHours{request}, view.dt).value();
     }
 
-    if (per_step == 1) {
-      raw_mwh_[c][static_cast<std::size_t>(row)] += load;
-      net_mwh_[c][static_cast<std::size_t>(row)] += grid;
-      spot_[c][static_cast<std::size_t>(row)] = price;
-    } else {
-      // Demand (and the battery's grid action) is uniform within a
-      // step, so a step finer than nothing - coarser than the meter -
-      // spreads evenly across its intervals; the engine billed the step
-      // at its time-mean price, which each interval inherits.
-      const double raw_share = load / static_cast<double>(per_step);
-      const double net_share = grid / static_cast<double>(per_step);
-      for (std::int64_t i = 0; i < per_step; ++i) {
-        raw_mwh_[c][static_cast<std::size_t>(row + i)] += raw_share;
-        net_mwh_[c][static_cast<std::size_t>(row + i)] += net_share;
-        spot_[c][static_cast<std::size_t>(row + i)] = price;
-      }
+    // Demand (and the battery's grid action) is uniform within a step,
+    // so a step coarser than the meter spreads evenly across its
+    // intervals; the engine billed the step at its time-mean price,
+    // which each interval inherits.
+    const double raw_share = load / static_cast<double>(per_step);
+    const double net_share = grid / static_cast<double>(per_step);
+    for (std::int64_t i = 0; i < per_step; ++i) {
+      raw_mwh_[c][static_cast<std::size_t>(row + i)] += raw_share;
+      net_mwh_[c][static_cast<std::size_t>(row + i)] += net_share;
+      spot_[c][static_cast<std::size_t>(row + i)] = price;
     }
 
     if (guard_peaks_ && exact_guard_) {

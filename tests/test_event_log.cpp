@@ -395,12 +395,20 @@ TEST(EventLog, RejectsDoublesCountLargerThanTheFrame) {
 
 TEST(EventLog, ReadSessionRequiresMetaFirst) {
   test::TempFile file("event_log_no_meta.eventlog");
+  std::int64_t tick_at = 0;
   {
     EventLogWriter writer(file.path());
+    tick_at = writer.bytes_written();  // just past the file header
     writer.write(PriceTickRecord{HubId(0), 5, 10.0});
     writer.close();
   }
-  EXPECT_THROW((void)read_session(file.path()), EventLogError);
+  // The error names the offending frame's first byte, not the next one.
+  try {
+    (void)read_session(file.path());
+    FAIL() << "a log without a leading SessionMeta must be rejected";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), tick_at);
+  }
 
   test::TempFile empty("event_log_empty.eventlog");
   {
@@ -412,13 +420,20 @@ TEST(EventLog, ReadSessionRequiresMetaFirst) {
 
 TEST(EventLog, ReadSessionRejectsDuplicateMeta) {
   test::TempFile file("event_log_two_meta.eventlog");
+  std::int64_t second_meta_at = 0;
   {
     EventLogWriter writer(file.path());
     writer.write(small_meta());
+    second_meta_at = writer.bytes_written();
     writer.write(small_meta());
     writer.close();
   }
-  EXPECT_THROW((void)read_session(file.path()), EventLogError);
+  try {
+    (void)read_session(file.path());
+    FAIL() << "a second SessionMeta must be rejected";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), second_meta_at);
+  }
 }
 
 TEST(EventLog, ReadSessionBucketsByType) {

@@ -317,7 +317,7 @@ TEST_F(Calibration, Fig5WindowSigmas) {
 
   // The 5-minute series is the most variable of all.
   HourlySeries rt_series(q1_2009, std::vector<double>(rt.begin(), rt.end()));
-  const auto fm = sim_->five_minute_series(nyc, rt_series);
+  const auto fm = sim_->sub_hourly_series(nyc, rt_series, 12);
   const double fm_sigma = stats::stddev(fm);
   EXPECT_GE(fm_sigma, rt1 * 0.95);
 }

@@ -93,7 +93,7 @@ TEST(MarketSimulator, FiveMinuteSeriesTracksHourly) {
   const MarketSimulator sim(9);
   const PriceSet set = sim.generate(short_period());
   const HubId nyc = HubRegistry::instance().by_code("NYC");
-  const auto fm = sim.five_minute_series(nyc, set.rt[nyc.index()]);
+  const auto fm = sim.sub_hourly_series(nyc, set.rt[nyc.index()], 12);
   ASSERT_EQ(fm.size(), set.rt[nyc.index()].size() * 12);
   // Hourly means of the 5-min series stay near the hourly series.
   const auto hourly = set.rt[nyc.index()].values();

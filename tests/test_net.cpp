@@ -297,6 +297,39 @@ TEST(NetWireTest, FeedClientGivesUpAfterMaxAttempts) {
   EXPECT_THROW((void)client.run(service::SessionMeta{}, {}, {}), NetError);
 }
 
+TEST(NetWireTest, FeedClientNamesWhereAWrongStatusFrameBegan) {
+  // A listener that answers the ingest header with a Telemetry frame
+  // instead of an IngestStatus: the failure names the byte offset where
+  // that frame began - the reply stream's first byte.
+  Listener listener(0);
+  std::thread answer([&] {
+    try {
+      std::optional<Socket> sock = listener.accept();
+      if (!sock) return;
+      (void)read_stream_header(*sock, kIoMs);
+      write_frame(*sock, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                  encode_telemetry(TelemetryFrame{}), kIoMs);
+    } catch (const std::exception&) {
+      // Only the client's failure, checked below, matters.
+    }
+  });
+  FeedClientOptions options;
+  options.port = listener.port();
+  options.max_attempts = 1;
+  FeedClient client(options);
+  std::string failure;
+  try {
+    (void)client.run(service::SessionMeta{}, {}, {});
+  } catch (const std::exception& e) {
+    failure = e.what();
+  }
+  listener.shutdown();  // wakes the accept if the client never connected
+  answer.join();
+  const std::string want =
+      "expected IngestStatus, got Telemetry (byte offset 0)";
+  EXPECT_NE(failure.find(want), std::string::npos) << failure;
+}
+
 // --- loopback sessions against a real Server --------------------------------
 
 class NetLoopbackTest : public ::testing::Test {
@@ -435,6 +468,19 @@ class ServerHarness {
   std::thread thread_;
   ServerReport report_;
 };
+
+/// True when the server logged a protocol error naming `offset` - the
+/// byte the offending frame began at.
+bool protocol_error_at(const ServerReport& report, std::int64_t offset) {
+  const std::string where = "(byte offset " + std::to_string(offset) + ")";
+  for (const std::string& event : report.events) {
+    if (event.rfind("protocol error", 0) == 0 &&
+        event.find(where) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
 
 ServerOptions loopback_options(const std::string& log_path) {
   ServerOptions options;
@@ -575,6 +621,12 @@ TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
   ServerHarness harness(loopback_options(server_log.path()));
 
   const std::int64_t start = first_interval(feed.meta);
+  // The bad tick's frame starts right after the meta frame.
+  std::vector<std::uint8_t> meta_frame;
+  service::append_frame(
+      meta_frame, static_cast<std::uint8_t>(service::RecordType::kSessionMeta),
+      service::encode_record(service::EventRecord{feed.meta}));
+  const auto tick_at = static_cast<std::int64_t>(meta_frame.size());
   {
     RawFeeder feeder(harness.server().ingest_port());
     feeder.send(service::EventRecord{feed.meta});
@@ -593,6 +645,7 @@ TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
   const ServerReport report = harness.join();
   ASSERT_TRUE(report.result.has_value());
   EXPECT_GE(report.protocol_errors, 1);
+  EXPECT_TRUE(protocol_error_at(report, tick_at));
   const core::RunResult replayed =
       service::replay_file(*fixture_, server_log.path());
   EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");
@@ -610,6 +663,8 @@ TEST_F(NetLoopbackTest, RecordsBeforeSessionMetaAreRejected) {
   const ServerReport report = harness.stop_and_join();
   EXPECT_FALSE(report.result.has_value());
   EXPECT_GE(report.protocol_errors, 1);
+  // The tick is the stream's first frame.
+  EXPECT_TRUE(protocol_error_at(report, 0));
 }
 
 TEST_F(NetLoopbackTest, SessionMetaSeedMustMatchEmbeddedFixture) {

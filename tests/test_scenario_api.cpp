@@ -523,7 +523,7 @@ TEST_F(ScenarioApiTest, StackedObserversMatchSoloRuns) {
 }
 
 TEST_F(ScenarioApiTest, HourlyEnergyLayout) {
-  HourlyEnergy e(3, 2);
+  HourlyEnergy e(3, 1, 2);
   EXPECT_EQ(e.hours(), 3u);
   EXPECT_EQ(e.clusters(), 2u);
   e.at(1, 0) = 4.0;

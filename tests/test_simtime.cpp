@@ -74,12 +74,48 @@ TEST(SimTime, HourLabel) {
   EXPECT_EQ(hour_label(hour_at(CivilDate{2008, 12, 17}, 5)), "2008-12-17 05:00");
 }
 
-TEST(SimTime, FiveMinuteSteps) {
-  const Period p{0, 24};
-  EXPECT_EQ(five_min_steps(p), 288);
-  EXPECT_EQ(hour_of_step(p, 0), 0);
-  EXPECT_EQ(hour_of_step(p, 11), 0);
-  EXPECT_EQ(hour_of_step(p, 12), 1);
+TEST(SimTime, StepRowsCoverEachCadencePair) {
+  struct Case {
+    int steps_per_hour;
+    int rows_per_hour;
+    std::int64_t step;
+    StepRows want;
+  };
+  const Case cases[] = {
+      // 5-minute steps over hourly rows: the row is the step's hour.
+      {12, 1, 0, {0, 1}},
+      {12, 1, 11, {0, 1}},
+      {12, 1, 12, {1, 1}},
+      {12, 1, 23, {1, 1}},
+      // 5-minute steps over 5-minute rows: one row per step.
+      {12, 12, 0, {0, 1}},
+      {12, 12, 11, {11, 1}},
+      {12, 12, 12, {12, 1}},
+      // 5-minute steps over 15-minute rows: three steps share a row.
+      {12, 4, 0, {0, 1}},
+      {12, 4, 2, {0, 1}},
+      {12, 4, 3, {1, 1}},
+      {12, 4, 11, {3, 1}},
+      {12, 4, 12, {4, 1}},
+      // Hourly steps over 5-minute rows: a step covers its hour's twelve.
+      {1, 12, 0, {0, 12}},
+      {1, 12, 1, {12, 12}},
+      {1, 12, 5, {60, 12}},
+      // 15-minute steps over 5-minute rows: three rows per step.
+      {4, 12, 0, {0, 3}},
+      {4, 12, 3, {9, 3}},
+      {4, 12, 4, {12, 3}},
+      // Hourly over hourly: the identity.
+      {1, 1, 0, {0, 1}},
+      {1, 1, 7, {7, 1}},
+  };
+  for (const Case& c : cases) {
+    const StepRows got = step_rows(c.step, c.steps_per_hour, c.rows_per_hour);
+    EXPECT_EQ(got.first, c.want.first)
+        << c.steps_per_hour << "/" << c.rows_per_hour << " step " << c.step;
+    EXPECT_EQ(got.count, c.want.count)
+        << c.steps_per_hour << "/" << c.rows_per_hour << " step " << c.step;
+  }
 }
 
 /// Round-trip property across several years, including leap handling.

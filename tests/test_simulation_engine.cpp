@@ -12,6 +12,7 @@
 #include "core/observers.h"
 #include "core/price_aware_router.h"
 #include "core/simulation.h"
+#include "storage/storage_controller.h"
 #include "test_support.h"
 
 namespace cebis::core {
@@ -37,6 +38,18 @@ class ConstWorkload final : public Workload {
   Period period_;
   std::vector<double> demand_;
   int sph_;
+};
+
+/// Records whether a run ever started or ended.
+class BeginProbe final : public StepObserver {
+ public:
+  void on_run_begin(const RunInfo&, std::span<const Cluster>) override {
+    ++begins;
+  }
+  void on_step(const StepView&) override {}
+  void on_run_end(RunResult&) override { ++ends; }
+  int begins = 0;
+  int ends = 0;
 };
 
 class EngineTest : public ::testing::Test {
@@ -73,19 +86,21 @@ class EngineTest : public ::testing::Test {
     return c;
   }
 
-  /// Constant prices for the two hubs over [begin-2, begin+hours).
+  /// Constant prices for the two hubs over [begin-2, begin+hours),
+  /// `samples_per_hour` native samples per hour.
   market::PriceSet const_prices(HourIndex begin, std::int64_t hours, double p_bos,
-                                double p_chi) {
+                                double p_chi, int samples_per_hour = 1) {
     const Period p{begin - 2, begin + hours};
     market::PriceSet set;
     set.period = p;
+    set.samples_per_hour = samples_per_hour;
     set.rt.resize(market::HubRegistry::instance().size());
     set.da.resize(set.rt.size());
-    const auto n = static_cast<std::size_t>(p.hours());
-    set.rt[clusters_[0].hub.index()] =
-        market::HourlySeries(p, std::vector<double>(n, p_bos));
-    set.rt[clusters_[1].hub.index()] =
-        market::HourlySeries(p, std::vector<double>(n, p_chi));
+    const auto n = static_cast<std::size_t>(p.hours() * samples_per_hour);
+    set.rt[clusters_[0].hub.index()] = market::PriceSeries(
+        p, samples_per_hour, std::vector<double>(n, p_bos));
+    set.rt[clusters_[1].hub.index()] = market::PriceSeries(
+        p, samples_per_hour, std::vector<double>(n, p_chi));
     return set;
   }
 
@@ -295,18 +310,6 @@ TEST_F(EngineTest, RejectsPriceSetEndingBeforeTheWorkload) {
   SimulationEngine engine(clusters_, prices, *distances_, cfg);
   ConstWorkload workload(Period{100, 106}, {1.0, 1.0}, 1);  // needs [99, 106)
   ClosestRouter router(*distances_, 2);
-
-  /// Records whether the run ever started.
-  class BeginProbe final : public StepObserver {
-   public:
-    void on_run_begin(const RunInfo&, std::span<const Cluster>) override {
-      ++begins;
-    }
-    void on_step(const StepView&) override {}
-    void on_run_end(RunResult&) override { ++ends; }
-    int begins = 0;
-    int ends = 0;
-  };
   BeginProbe probe;
   StepObserver* observers[] = {&probe};
 
@@ -321,6 +324,77 @@ TEST_F(EngineTest, RejectsPriceSetEndingBeforeTheWorkload) {
   }
   EXPECT_EQ(probe.begins, 0);
   EXPECT_EQ(probe.ends, 0);
+}
+
+TEST_F(EngineTest, RejectsSeriesWhoseRateDisagreesWithTheSet) {
+  // Steps read native samples at the set's declared rate, so a series
+  // sampled at another rate is rejected before any observer fires.
+  // Otherwise a set declaring five-minute prices over hourly series
+  // throws out_of_range on its second step, after on_run_begin and with
+  // on_run_end never called, and a set declaring hourly prices over
+  // five-minute series bills the wrong samples silently.
+  market::PriceSet declares_finer = const_prices(100, 4, 50.0, 60.0);
+  declares_finer.samples_per_hour = 12;
+  market::PriceSet declares_hourly = const_prices(100, 4, 50.0, 60.0, 12);
+  declares_hourly.samples_per_hour = 1;
+  EngineConfig cfg;
+  cfg.enforce_p95 = false;
+  for (const market::PriceSet* prices : {&declares_finer, &declares_hourly}) {
+    SimulationEngine engine(clusters_, *prices, *distances_, cfg);
+    ConstWorkload workload(Period{100, 104}, {1.0, 1.0}, 12);
+    ClosestRouter router(*distances_, 2);
+    BeginProbe probe;
+    StepObserver* observers[] = {&probe};
+    EXPECT_THROW((void)engine.run(workload, router, observers),
+                 std::invalid_argument)
+        << "declared " << prices->samples_per_hour;
+    EXPECT_EQ(probe.begins, 0);
+    EXPECT_EQ(probe.ends, 0);
+  }
+}
+
+TEST_F(EngineTest, RejectsCadencesThatDoNotNest) {
+  // One predicate holds the rule step_rows relies on: both cadences at
+  // least one per hour, one dividing the other.
+  struct Case {
+    int steps_per_hour;
+    int rows_per_hour;
+    bool nest;
+  };
+  const Case cases[] = {
+      {12, 1, true},
+      {1, 12, true},
+      {12, 4, true},
+      {4, 12, true},
+      {12, 12, true},
+      {1, 1, true},
+      {12, 5, false},
+      {5, 12, false},
+      {0, 1, false},
+      {1, 0, false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(cadences_nest(c.steps_per_hour, c.rows_per_hour), c.nest)
+        << c.steps_per_hour << "/" << c.rows_per_hour;
+  }
+
+  // The engine and the storage controller both apply it to a 5-minute
+  // workload over a market settling five times an hour.
+  const market::PriceSet prices = const_prices(100, 4, 50.0, 60.0, 5);
+  EngineConfig cfg;
+  cfg.enforce_p95 = false;
+  SimulationEngine engine(clusters_, prices, *distances_, cfg);
+  ConstWorkload workload(Period{100, 104}, {1.0, 1.0}, 12);
+  ClosestRouter router(*distances_, 2);
+  BeginProbe probe;
+  StepObserver* observers[] = {&probe};
+  EXPECT_THROW((void)engine.begin(workload, router, observers),
+               std::invalid_argument);
+  EXPECT_EQ(probe.begins, 0);
+
+  storage::StorageController controller(StorageSpec{});
+  const RunInfo info{Period{100, 104}, 12, 5};
+  EXPECT_THROW(controller.on_run_begin(info, clusters_), std::invalid_argument);
 }
 
 TEST_F(EngineTest, ConstructorValidation) {

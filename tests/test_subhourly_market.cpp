@@ -48,17 +48,27 @@ TEST(PriceSeries, CarriesNativeInterval) {
 
 // --- MarketSimulator sub-hourly synthesis ----------------------------------
 
-TEST(SubHourlyMarket, SubHourlySeriesAtTwelveIsFiveMinuteSeries) {
-  // The generalized helper must reproduce the Fig 4/5 curve bit-for-bit
-  // at the 5-minute calibration point.
+TEST(SubHourlyMarket, GenerateAtTheStudyEpochIsTheSubHourlyView) {
+  // generate() warms each hub's intra-hour process up from the study
+  // epoch; with a window starting there, no draw is skipped and the
+  // series must be exactly sub_hourly_view of the same hourly prices -
+  // for hubs that synthesize intra-hour structure and for hubs kept
+  // flat (4 = 15-minute, 12 = five-minute, 20 = finer than any hub's
+  // settlement).
   const MarketSimulator sim(test::kTestSeed);
-  const PriceSet set = sim.generate(short_window());
-  const HubId nyc = HubRegistry::instance().by_code("NYC");
-  const auto legacy = sim.five_minute_series(nyc, set.rt[nyc.index()]);
-  const auto general = sim.sub_hourly_series(nyc, set.rt[nyc.index()], 12);
-  ASSERT_EQ(legacy.size(), general.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    ASSERT_EQ(legacy[i], general[i]) << i;
+  const Period w{study_period().begin, study_period().begin + 48};
+  const PriceSet hourly = sim.generate(w);
+  for (const int sph : {4, 12, 20}) {
+    const PriceSet fine = sim.generate(w, sph);
+    for (const HubId hub : HubRegistry::instance().hourly_hubs()) {
+      const PriceSeries& base = hourly.rt[hub.index()];
+      const PriceSeries view = sim.sub_hourly_view(hub, base, sph);
+      const std::span<const double> got = fine.rt[hub.index()].values();
+      ASSERT_EQ(got.size(), view.size()) << sph << " " << hub.index();
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], view.values()[i]) << sph << " " << hub.index();
+      }
+    }
   }
 }
 
