@@ -200,7 +200,9 @@ BENCHMARK(BM_BatchedThresholdSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecon
 // hardware concurrency. Results are byte-identical either way (guarded
 // in tests/test_scenario_api.cpp); this bench measures the wall-clock
 // win, which only shows on multi-core hosts (a 1-CPU runner reports
-// ~1x by construction).
+// ~1x by construction). The pool's workers do the work while the
+// calling thread waits, so rates are on wall time (UseRealTime) - the
+// calling thread's CPU time would count only its own share.
 void BM_ParallelThresholdSweep(benchmark::State& state) {
   const core::Fixture& fx = fixture();
   std::vector<core::ScenarioSpec> specs;
@@ -229,6 +231,7 @@ void BM_ParallelThresholdSweep(benchmark::State& state) {
 BENCHMARK(BM_ParallelThresholdSweep)
     ->Arg(1)
     ->Arg(0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

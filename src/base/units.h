@@ -89,7 +89,6 @@ class MegawattHours : public Quantity<MegawattHours> {
 class Watts : public Quantity<Watts> {
  public:
   using Quantity::Quantity;
-  [[nodiscard]] constexpr double megawatts() const noexcept { return value() / 1e6; }
 };
 
 /// Geographic distance, kilometres.

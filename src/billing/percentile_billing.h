@@ -21,6 +21,7 @@ namespace cebis::billing {
 
 /// Computes the billed (95th percentile) rate for a series of 5-minute
 /// samples.
+// cebis-lint: allow(unreferenced-api) test_tariff's p95 oracle
 [[nodiscard]] double billed_rate_p95(std::span<const double> samples);
 
 /// Online 95/5 burst-budget tracker for one cluster.
@@ -40,9 +41,11 @@ class BurstBudget95 {
   void record(double load);
 
   [[nodiscard]] std::int64_t intervals() const noexcept { return intervals_; }
+  // cebis-lint: allow(unreferenced-api) tests audit the budget
   [[nodiscard]] std::int64_t bursts_used() const noexcept { return bursts_; }
 
   /// Fraction of intervals that exceeded the reference so far.
+  // cebis-lint: allow(unreferenced-api) tests audit the budget
   [[nodiscard]] double burst_fraction() const noexcept;
 
  private:

@@ -72,6 +72,7 @@ class PriceAwareRouter final : public Router {
     return plan_rebuilds_;
   }
   /// How often the capacity/95-5 strict-limit snapshot was refreshed.
+  // cebis-lint: allow(unreferenced-api) fuzz tests count refreshes
   [[nodiscard]] std::int64_t limit_refreshes() const noexcept {
     return limit_refreshes_;
   }

@@ -45,11 +45,4 @@ AggregationReport Aggregator::package() const {
   return report;
 }
 
-Usd Aggregator::event_revenue(double reduced_mwh) const {
-  if (reduced_mwh < 0.0) {
-    throw std::invalid_argument("Aggregator::event_revenue: negative reduction");
-  }
-  return Usd{reduced_mwh * terms_.per_mwh_reduced.value()};
-}
-
 }  // namespace cebis::demand_response

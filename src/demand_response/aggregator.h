@@ -8,8 +8,8 @@
 //
 // An Aggregator collects sites (individual co-location deployments, a
 // few racks each), packages them into per-region blocks that meet the
-// RTO's minimum block size, and splits event revenue between the sites
-// and the aggregator's commission.
+// RTO's minimum block size, and splits the availability revenue between
+// the sites and the aggregator's commission.
 
 #include <span>
 #include <string_view>
@@ -29,7 +29,6 @@ struct Site {
 struct AggregationTerms {
   double min_block_kw = 100.0;  ///< RTO minimum sellable block
   double commission = 0.20;     ///< aggregator's share of revenue
-  Usd per_mwh_reduced{120.0};
   Usd availability_per_mw_month{4000.0};
 };
 
@@ -59,10 +58,6 @@ class Aggregator {
   /// Packages the enrolled sites into per-RTO blocks and computes the
   /// standing availability revenue.
   [[nodiscard]] AggregationReport package() const;
-
-  /// Revenue from one delivered event: `reduced_mwh` across a region
-  /// block, split per the commission.
-  [[nodiscard]] Usd event_revenue(double reduced_mwh) const;
 
  private:
   AggregationTerms terms_;

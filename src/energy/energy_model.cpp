@@ -80,7 +80,5 @@ EnergyModelParams with(double idle_fraction, double pue) noexcept {
 EnergyModelParams fully_proportional_params() noexcept { return with(0.0, 1.0); }
 EnergyModelParams optimistic_future_params() noexcept { return with(0.0, 1.1); }
 EnergyModelParams google_params() noexcept { return with(0.65, 1.3); }
-EnergyModelParams state_of_the_art_params() noexcept { return with(0.65, 1.7); }
-EnergyModelParams no_power_mgmt_params() noexcept { return with(0.95, 2.0); }
 
 }  // namespace cebis::energy

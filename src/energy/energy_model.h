@@ -84,8 +84,6 @@ struct ElasticityScenario {
 [[nodiscard]] EnergyModelParams fully_proportional_params() noexcept;  // (0%, 1.0)
 [[nodiscard]] EnergyModelParams optimistic_future_params() noexcept;   // (0%, 1.1)
 [[nodiscard]] EnergyModelParams google_params() noexcept;              // (65%, 1.3)
-[[nodiscard]] EnergyModelParams state_of_the_art_params() noexcept;    // (65%, 1.7)
-[[nodiscard]] EnergyModelParams no_power_mgmt_params() noexcept;       // (95%, 2.0)
 
 }  // namespace cebis::energy
 

@@ -1,6 +1,5 @@
 #include "geo/distance_model.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cebis::geo {
@@ -27,42 +26,11 @@ DistanceModel::DistanceModel(std::span<const StateInfo> states,
   }
 }
 
-DistanceModel DistanceModel::for_sites(std::span<const LatLon> sites) {
-  return DistanceModel(StateRegistry::instance().all(), sites);
-}
-
 Km DistanceModel::distance(StateId state, std::size_t site) const {
   if (!state.valid() || state.index() >= state_count_ || site >= site_count_) {
     throw std::out_of_range("DistanceModel::distance");
   }
   return Km{at(state.index(), site)};
-}
-
-std::size_t DistanceModel::closest_site(StateId state) const {
-  if (!state.valid() || state.index() >= state_count_) {
-    throw std::out_of_range("DistanceModel::closest_site");
-  }
-  const std::size_t row = state.index();
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < site_count_; ++c) {
-    if (at(row, c) < at(row, best)) best = c;
-  }
-  return best;
-}
-
-std::vector<std::size_t> DistanceModel::sites_within(StateId state, Km radius) const {
-  if (!state.valid() || state.index() >= state_count_) {
-    throw std::out_of_range("DistanceModel::sites_within");
-  }
-  const std::size_t row = state.index();
-  std::vector<std::size_t> out;
-  for (std::size_t c = 0; c < site_count_; ++c) {
-    if (at(row, c) <= radius.value()) out.push_back(c);
-  }
-  std::sort(out.begin(), out.end(), [this, row](std::size_t a, std::size_t b) {
-    return at(row, a) < at(row, b);
-  });
-  return out;
 }
 
 }  // namespace cebis::geo

@@ -23,20 +23,11 @@ class DistanceModel {
   /// Builds the matrix for every state in `states` against every site.
   DistanceModel(std::span<const StateInfo> states, std::span<const LatLon> sites);
 
-  /// Convenience: all registry states against the given sites.
-  static DistanceModel for_sites(std::span<const LatLon> sites);
-
   [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
   [[nodiscard]] std::size_t site_count() const noexcept { return site_count_; }
 
   /// Population-weighted distance from a client state to a site.
   [[nodiscard]] Km distance(StateId state, std::size_t site) const;
-
-  /// Site index closest to the given state.
-  [[nodiscard]] std::size_t closest_site(StateId state) const;
-
-  /// Sites within `radius` of the state, ordered by increasing distance.
-  [[nodiscard]] std::vector<std::size_t> sites_within(StateId state, Km radius) const;
 
  private:
   std::size_t state_count_ = 0;

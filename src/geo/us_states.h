@@ -48,14 +48,10 @@ class StateRegistry {
   /// Looks up a state by USPS code; returns StateId::invalid() if absent.
   [[nodiscard]] StateId by_code(std::string_view code) const noexcept;
 
-  /// Total US population in the registry.
-  [[nodiscard]] double total_population() const noexcept { return total_population_; }
-
  private:
   StateRegistry();
 
   std::vector<StateInfo> states_;
-  double total_population_ = 0.0;
 };
 
 }  // namespace cebis::geo

@@ -43,14 +43,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   out_ << '\n';
 }
 
-void CsvWriter::numeric_row(std::string_view label, const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.emplace_back(label);
-  for (double v : values) cells.push_back(format_number(v));
-  row(cells);
-}
-
 std::string format_number(double value, int precision) {
   if (!std::isfinite(value)) return "nan";
   char buf[64];

@@ -21,9 +21,6 @@ class CsvWriter {
   void row(std::initializer_list<std::string_view> cells);
   void row(const std::vector<std::string>& cells);
 
-  /// Convenience: label + numeric series.
-  void numeric_row(std::string_view label, const std::vector<double>& values);
-
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:

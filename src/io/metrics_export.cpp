@@ -77,22 +77,6 @@ std::string_view type_name(MetricKind kind) {
   return "untyped";
 }
 
-std::string json_escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string to_prometheus_text(const obs::MetricsSnapshot& snap) {
@@ -132,73 +116,18 @@ std::string to_prometheus_text(const obs::MetricsSnapshot& snap) {
   return out;
 }
 
-std::string to_metrics_json(const obs::MetricsSnapshot& snap) {
-  std::string out = "[";
-  bool first = true;
-  for (const MetricSample& s : snap.samples) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n{\"name\":\"" + json_escaped(s.name) + "\",\"type\":\"" +
-           std::string(type_name(s.kind)) + "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : s.labels) {
-      if (!first_label) out += ',';
-      first_label = false;
-      out += '"';
-      out += json_escaped(k);
-      out += "\":\"";
-      out += json_escaped(v);
-      out += '"';
-    }
-    out += "}";
-    if (s.kind == MetricKind::kHistogram) {
-      out += ",\"bounds\":[";
-      for (std::size_t b = 0; b < s.bounds.size(); ++b) {
-        if (b > 0) out += ',';
-        out += metric_value(s.bounds[b]);
-      }
-      out += "],\"buckets\":[";
-      for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-        if (b > 0) out += ',';
-        out += metric_value(s.bucket_counts[b]);
-      }
-      out += "],\"sum\":" + metric_value(s.sum) +
-             ",\"count\":" + metric_value(s.count);
-    } else {
-      out += ",\"value\":" + metric_value(s.value);
-    }
-    out += '}';
-  }
-  out += "\n]\n";
-  return out;
-}
-
-namespace {
-
-void write_file(const std::string& content, const std::string& path,
-                const char* what) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error(std::string(what) + ": cannot open '" + path +
-                             "'");
-  }
-  out << content;
-  if (!out) {
-    throw std::runtime_error(std::string(what) + ": write to '" + path +
-                             "' failed");
-  }
-}
-
-}  // namespace
-
 void write_prometheus_file(const obs::MetricsSnapshot& snap,
                            const std::string& path) {
-  write_file(to_prometheus_text(snap), path, "write_prometheus_file");
-}
-
-void write_metrics_json_file(const obs::MetricsSnapshot& snap,
-                             const std::string& path) {
-  write_file(to_metrics_json(snap), path, "write_metrics_json_file");
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    throw std::runtime_error("write_prometheus_file: cannot open '" + path +
+                             "'");
+  }
+  out << to_prometheus_text(snap);
+  if (!out) {
+    throw std::runtime_error("write_prometheus_file: write to '" + path +
+                             "' failed");
+  }
 }
 
 }  // namespace cebis::io

@@ -93,6 +93,7 @@ class LazyPriceHistory {
   }
   /// How many times study_rt_means() actually walked the study period
   /// (0 before the first call; stays 1 after, memoization guard).
+  // cebis-lint: allow(unreferenced-api) memoization probe
   [[nodiscard]] std::size_t study_mean_passes() const noexcept {
     return study_mean_passes_;
   }

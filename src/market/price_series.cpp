@@ -69,21 +69,6 @@ std::span<const double> PriceSeries::slice(const Period& p) const {
       static_cast<std::size_t>(p.hours()) * n);
 }
 
-std::vector<double> PriceSeries::daily_averages() const {
-  std::vector<double> out;
-  const std::int64_t days = period_.hours() / 24;
-  const auto per_day = static_cast<std::size_t>(24 * samples_per_hour_);
-  out.reserve(static_cast<std::size_t>(days));
-  for (std::int64_t d = 0; d < days; ++d) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < per_day; ++i) {
-      s += values_[static_cast<std::size_t>(d) * per_day + i];
-    }
-    out.push_back(s / static_cast<double>(per_day));
-  }
-  return out;
-}
-
 std::vector<double> PriceSeries::daily_peak_averages(int utc_offset_hours,
                                                      int first_hour,
                                                      int last_hour) const {

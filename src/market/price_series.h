@@ -53,10 +53,6 @@ class PriceSeries {
   /// Values restricted to a sub-period (view, native layout).
   [[nodiscard]] std::span<const double> slice(const Period& p) const;
 
-  /// Daily means (used for Fig 3-style plots); averages all native
-  /// samples of each day.
-  [[nodiscard]] std::vector<double> daily_averages() const;
-
   /// Daily means over local "peak" hours [first_hour, last_hour] given a
   /// UTC offset (day-ahead *peak* prices average 07:00-23:00 local).
   [[nodiscard]] std::vector<double> daily_peak_averages(int utc_offset_hours,

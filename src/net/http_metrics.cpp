@@ -35,7 +35,6 @@ struct HttpMetricsServer::Impl {
   HttpMetricsOptions options;
   Listener listener;
   std::atomic<bool> stopping{false};  // stop() runs once
-  std::atomic<std::int64_t> requests{0};
   std::thread server;
 
   explicit Impl(HttpMetricsOptions opts)
@@ -82,7 +81,6 @@ struct HttpMetricsServer::Impl {
     }
     try {
       sock.write_all(reply.data(), reply.size(), kWriteTimeoutMs);
-      requests.fetch_add(1, std::memory_order_relaxed);
     } catch (const NetError&) {
       // The scraper vanished mid-response; nothing to clean up.
     }
@@ -102,10 +100,6 @@ HttpMetricsServer::~HttpMetricsServer() { stop(); }
 
 std::uint16_t HttpMetricsServer::port() const noexcept {
   return impl_->listener.port();
-}
-
-std::int64_t HttpMetricsServer::requests_served() const noexcept {
-  return impl_->requests.load(std::memory_order_relaxed);
 }
 
 void HttpMetricsServer::stop() {

@@ -34,7 +34,6 @@ class HttpMetricsServer {
   HttpMetricsServer& operator=(const HttpMetricsServer&) = delete;
 
   [[nodiscard]] std::uint16_t port() const noexcept;
-  [[nodiscard]] std::int64_t requests_served() const noexcept;
 
   /// Wakes and joins the serving thread (after the request in hand, if
   /// any). Idempotent and safe to call from two threads.

@@ -121,15 +121,20 @@ struct Server::Impl {
     cfg.taps = options.taps;
     log.emplace(options.log_path, options.taps);
     live = std::make_unique<service::LiveEngine>(fx, cfg, &*log);
-    if (meta.n_states != 0 &&
-        meta.n_states != static_cast<std::uint32_t>(live->state_count())) {
-      const std::size_t built = live->state_count();
+    // A feeder may leave the shape unnamed (0); a named shape must match
+    // what the fixture builds, as replay() checks it.
+    const auto check_shape = [&](std::uint32_t named, std::size_t built,
+                                 const char* what) {
+      if (named == 0 || named == built) return;
       live.reset();
       log.reset();
-      throw std::invalid_argument(
-          "SessionMeta names " + std::to_string(meta.n_states) +
-          " states, the fixture builds " + std::to_string(built));
-    }
+      throw std::invalid_argument("SessionMeta names " +
+                                  std::to_string(named) + " " + what +
+                                  ", the fixture builds " +
+                                  std::to_string(built));
+    };
+    check_shape(meta.n_states, live->state_count(), "states");
+    check_shape(meta.n_clusters, live->cluster_count(), "clusters");
     report.meta = live->meta();
     event("session opened: router=" + meta.router + " period=[" +
           std::to_string(meta.period.begin) + "," +

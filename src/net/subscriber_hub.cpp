@@ -210,6 +210,10 @@ void SubscriberHub::stop() {
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     subs.swap(impl_->subscribers);
+    // Only publish() drops frames, and it can no longer reach these
+    // subscribers: their counts are final, and dropped_frames() sees
+    // them move from the list to the total in one step.
+    for (const auto& sub : subs) impl_->dropped_total += sub->dropped;
   }
   for (auto& sub : subs) {
     {
@@ -219,7 +223,6 @@ void SubscriberHub::stop() {
       sub->cv.notify_all();
     }
     if (sub->writer.joinable()) sub->writer.join();
-    impl_->dropped_total += sub->dropped;
   }
   if (impl_->g_subscribers.live()) impl_->g_subscribers.set(0.0);
 }

@@ -150,11 +150,13 @@ class FrameReader {
 // (for WireError provenance), mirroring service::decode_record.
 
 [[nodiscard]] std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t);
+// cebis-lint: allow(unreferenced-api) owns the frame format
 [[nodiscard]] TelemetryFrame decode_telemetry(
     const std::vector<std::uint8_t>& payload, std::int64_t offset);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_seal_headroom(
     const SealHeadroomFrame& s);
+// cebis-lint: allow(unreferenced-api) owns the frame format
 [[nodiscard]] SealHeadroomFrame decode_seal_headroom(
     const std::vector<std::uint8_t>& payload, std::int64_t offset);
 

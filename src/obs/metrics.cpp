@@ -78,8 +78,7 @@ struct MetricsRegistry::Impl {
   std::map<std::thread::id, Shard*> by_thread;
 };
 
-MetricsRegistry::MetricsRegistry(bool enabled)
-    : enabled_(enabled), impl_(std::make_unique<Impl>()) {}
+MetricsRegistry::MetricsRegistry() : impl_(std::make_unique<Impl>()) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -153,56 +152,31 @@ std::atomic<double>* MetricsRegistry::slots_locked(Shard& shard,
 
 Counter MetricsRegistry::counter(std::string_view name, std::string_view help,
                                  Labels labels) {
-#ifdef CEBIS_OBS_DISABLED
-  (void)name;
-  (void)help;
-  (void)labels;
-  return Counter{};
-#else
-  if (!enabled_) return Counter{};
   const std::lock_guard<std::mutex> lock(impl_->mu);
   const Instrument& ins =
       intern(MetricKind::kCounter, name, help, std::move(labels), {});
   Shard& shard = shard_for_current_thread_locked();
   return Counter{slots_locked(shard, ins.offset, 1)};
-#endif
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name, std::string_view help,
                              Labels labels) {
-#ifdef CEBIS_OBS_DISABLED
-  (void)name;
-  (void)help;
-  (void)labels;
-  return Gauge{};
-#else
-  if (!enabled_) return Gauge{};
   const std::lock_guard<std::mutex> lock(impl_->mu);
   const Instrument& ins =
       intern(MetricKind::kGauge, name, help, std::move(labels), {});
   return Gauge{slots_locked(impl_->shared, ins.offset, 1)};
-#endif
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name,
                                      std::string_view help,
                                      std::span<const double> bounds,
                                      Labels labels) {
-#ifdef CEBIS_OBS_DISABLED
-  (void)name;
-  (void)help;
-  (void)bounds;
-  (void)labels;
-  return Histogram{};
-#else
-  if (!enabled_) return Histogram{};
   const std::lock_guard<std::mutex> lock(impl_->mu);
   const Instrument& ins =
       intern(MetricKind::kHistogram, name, help, std::move(labels), bounds);
   Shard& shard = shard_for_current_thread_locked();
   return Histogram{slots_locked(shard, ins.offset, ins.slots),
                    ins.bounds.data(), ins.bounds.size()};
-#endif
 }
 
 std::vector<double> MetricsRegistry::linear_bounds(double lo, double hi,
@@ -222,7 +196,6 @@ std::vector<double> MetricsRegistry::linear_bounds(double lo, double hi,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  if (!enabled_) return snap;
   const std::lock_guard<std::mutex> lock(impl_->mu);
   snap.samples.reserve(impl_->instruments.size());
   for (const Instrument& ins : impl_->instruments) {
@@ -267,17 +240,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
               return a.name != b.name ? a.name < b.name : a.labels < b.labels;
             });
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto zero = [](Shard& shard) {
-    for (std::size_t i = 0; i < shard.capacity; ++i) {
-      shard.slot(i).store(0.0, std::memory_order_relaxed);
-    }
-  };
-  zero(impl_->shared);
-  for (Shard& shard : impl_->shards) zero(shard);
 }
 
 std::size_t MetricsRegistry::series_count() const {

@@ -10,8 +10,8 @@
 //  1. Observation must never perturb results. Handles are write-only
 //     taps - nothing in src/ reads a metric back into a decision - so
 //     every determinism contract (parallel-sweep, replay-equals-live,
-//     golden anchors) holds byte-for-byte with metrics enabled,
-//     disabled, or absent (guarded in tests/test_obs.cpp).
+//     golden anchors) holds byte-for-byte with metrics present or
+//     absent (guarded in tests/test_obs.cpp).
 //
 //  2. The sweep fan-out must stay contention-free and TSan-clean.
 //     Counter and histogram slots are sharded per thread: creating a
@@ -23,11 +23,10 @@
 //     engine does at Session begin); a handle shared across threads can
 //     lose increments but is never undefined behavior.
 //
-//  3. Disabled must cost near-nothing. A registry constructed disabled
-//     (or a default-constructed handle, the nullptr-registry path)
-//     hands out inert handles whose update is one branch on a null
-//     pointer. Defining CEBIS_OBS_DISABLED (CMake option of the same
-//     name) additionally compiles the update bodies out entirely.
+//  3. Off must cost near-nothing. A null obs::Taps::metrics is the one
+//     way to switch metrics off: instrumented code then keeps
+//     default-constructed handles, whose update is one branch on a
+//     null pointer.
 //
 // Gauges are the exception to per-thread sharding: summing a
 // last-written-value across shards would be meaningless, so every gauge
@@ -95,24 +94,20 @@ struct MetricsSnapshot {
 
 class MetricsRegistry;
 
-/// Monotone counter tap. Default-constructed (or disabled-registry)
-/// handles are inert: add() is a single not-taken branch.
+/// Monotone counter tap. Default-constructed handles are inert: add()
+/// is a single not-taken branch.
 class Counter {
  public:
   Counter() = default;
 
   void add(double v = 1.0) noexcept {
-#ifndef CEBIS_OBS_DISABLED
     if (slot_ != nullptr) {
       slot_->store(slot_->load(std::memory_order_relaxed) + v,
                    std::memory_order_relaxed);
     }
-#else
-    (void)v;
-#endif
   }
 
-  /// True when the handle is bound to a live slot (registry enabled).
+  /// True when the handle is bound to a registry slot.
   [[nodiscard]] bool live() const noexcept { return slot_ != nullptr; }
 
  private:
@@ -127,11 +122,7 @@ class Gauge {
   Gauge() = default;
 
   void set(double v) noexcept {
-#ifndef CEBIS_OBS_DISABLED
     if (slot_ != nullptr) slot_->store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   [[nodiscard]] bool live() const noexcept { return slot_ != nullptr; }
@@ -149,7 +140,6 @@ class Histogram {
   Histogram() = default;
 
   void observe(double v) noexcept {
-#ifndef CEBIS_OBS_DISABLED
     if (slots_ == nullptr) return;
     // Cumulative `le` semantics: the first bound >= v. Bucket sets are
     // small (tens of bounds); a linear scan beats binary search on the
@@ -161,9 +151,6 @@ class Histogram {
     sum.store(sum.load(std::memory_order_relaxed) + v,
               std::memory_order_relaxed);
     bump(slots_[n_bounds_ + 2]);
-#else
-    (void)v;
-#endif
   }
 
   [[nodiscard]] bool live() const noexcept { return slots_ != nullptr; }
@@ -187,14 +174,11 @@ class Histogram {
 
 class MetricsRegistry {
  public:
-  /// A disabled registry hands out inert handles and snapshots empty.
-  explicit MetricsRegistry(bool enabled = true);
+  MetricsRegistry();
   ~MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Resolve a handle for (name, labels), registering the series on
   /// first use. The handle is bound to the CALLING thread's shard
@@ -220,10 +204,8 @@ class MetricsRegistry {
   /// updates may or may not be included; each slot is read atomically).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every slot; registered series and issued handles stay valid.
-  void reset();
-
   /// Registered series count (all kinds).
+  // cebis-lint: allow(unreferenced-api) tests count registered series
   [[nodiscard]] std::size_t series_count() const;
 
  private:
@@ -238,7 +220,6 @@ class MetricsRegistry {
                                     std::size_t count);
 
   struct Impl;
-  bool enabled_;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -15,9 +15,10 @@
 //   EventLogWriter log(path, taps);
 //
 // Both pointers are borrowed and may be null (null = uninstrumented,
-// the default). Taps are write-only by contract: nothing downstream
+// the default); a null pointer is the one way to switch metrics or
+// tracing off. Taps are write-only by contract: nothing downstream
 // reads a metric or span back into a decision, so results are
-// byte-identical with taps present, disabled or absent.
+// byte-identical with taps present or absent.
 
 namespace cebis::obs {
 

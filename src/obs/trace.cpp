@@ -48,7 +48,6 @@ std::string escaped(std::string_view s) {
 
 struct Tracer::Impl {
   struct Event {
-    char phase = 'X';
     std::string name;
     std::string cat;
     Args args;
@@ -73,8 +72,7 @@ struct Tracer::Impl {
   }
 };
 
-Tracer::Tracer(bool enabled)
-    : enabled_(enabled), impl_(std::make_unique<Impl>()) {}
+Tracer::Tracer() : impl_(std::make_unique<Impl>()) {}
 
 Tracer::~Tracer() = default;
 
@@ -86,7 +84,6 @@ std::int64_t Tracer::now_us() const noexcept {
 
 Tracer::Span Tracer::span(std::string_view name, std::string_view category,
                           Args args) {
-  if (!enabled_) return Span{};
   return Span{this, std::string(name), std::string(category), std::move(args),
               now_us()};
 }
@@ -96,7 +93,7 @@ void Tracer::Span::end() noexcept {
   Tracer* tracer = tracer_;
   tracer_ = nullptr;
   try {
-    tracer->record('X', std::move(name_), std::move(cat_), std::move(args_),
+    tracer->record(std::move(name_), std::move(cat_), std::move(args_),
                    start_us_, tracer->now_us() - start_us_);
   } catch (...) {
     // Dropping a trace event on allocation failure is the only safe
@@ -104,18 +101,10 @@ void Tracer::Span::end() noexcept {
   }
 }
 
-void Tracer::instant(std::string_view name, std::string_view category,
-                     Args args) {
-  if (!enabled_) return;
-  record('i', std::string(name), std::string(category), std::move(args),
-         now_us(), 0);
-}
-
-void Tracer::record(char phase, std::string name, std::string cat, Args args,
+void Tracer::record(std::string name, std::string cat, Args args,
                     std::int64_t ts_us, std::int64_t dur_us) {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   Impl::Event event;
-  event.phase = phase;
   event.name = std::move(name);
   event.cat = std::move(cat);
   event.args = std::move(args);
@@ -138,12 +127,9 @@ std::string Tracer::json() const {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":\"" + escaped(e.name) + "\",\"cat\":\"" +
-           escaped(e.cat) + "\",\"ph\":\"";
-    out += e.phase;
-    out += "\",\"ts\":" + std::to_string(e.ts_us) + ",";
-    if (e.phase == 'X') out += "\"dur\":" + std::to_string(e.dur_us) + ",";
-    if (e.phase == 'i') out += "\"s\":\"t\",";
-    out += "\"pid\":1,\"tid\":" + std::to_string(e.tid);
+           escaped(e.cat) + "\",\"ph\":\"X\",\"ts\":" +
+           std::to_string(e.ts_us) + ",\"dur\":" + std::to_string(e.dur_us) +
+           ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
     if (!e.args.empty()) {
       out += ",\"args\":{";
       bool first_arg = true;
@@ -173,11 +159,6 @@ void Tracer::write(const std::string& path) const {
   if (!out) {
     throw std::runtime_error("Tracer::write: write to '" + path + "' failed");
   }
-}
-
-void Tracer::clear() {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->events.clear();
 }
 
 }  // namespace cebis::obs

@@ -3,8 +3,8 @@
 
 // RAII phase tracing emitting Chrome trace-event JSON.
 //
-// A Tracer collects complete ("ph":"X") and instant ("ph":"i") events
-// with microsecond timestamps relative to its construction; json()
+// A Tracer collects complete ("ph":"X") events with microsecond
+// timestamps relative to its construction; json()
 // serializes them in the trace-event format chrome://tracing, Perfetto
 // (ui.perfetto.dev) and speedscope all load directly. Instrumented
 // phases: the sweep plan phase and each run-phase cell
@@ -15,8 +15,9 @@
 // (service/event_log.cpp).
 //
 // Tracing is strictly opt-in: every call site holds a Tracer* that
-// defaults to nullptr, and maybe_span() compiles to a null check when
-// no tracer is attached - the metrics-only overhead contract
+// defaults to nullptr - a null obs::Taps::tracer is the one way to
+// switch tracing off - and maybe_span() compiles to a null check when
+// no tracer is attached. The metrics-only overhead contract
 // (bench_perf_obs, < 2%) is measured WITHOUT a tracer, since span
 // timestamps inherently cost two clock reads each. Like metrics,
 // spans are write-only observation: nothing reads them back, so traced
@@ -40,7 +41,7 @@ class Tracer {
   /// Key/value annotations attached to an event ("args" in the JSON).
   using Args = std::vector<std::pair<std::string, std::string>>;
 
-  explicit Tracer(bool enabled = true);
+  Tracer();
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
@@ -92,15 +93,10 @@ class Tracer {
     std::int64_t start_us_ = 0;
   };
 
-  /// Opens a span (inert when the tracer is disabled).
+  /// Opens a span.
   [[nodiscard]] Span span(std::string_view name,
                           std::string_view category = "cebis", Args args = {});
 
-  /// Records a zero-duration instant event.
-  void instant(std::string_view name, std::string_view category = "cebis",
-               Args args = {});
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] std::size_t events() const;
 
   /// The collected events as a Chrome trace-event JSON document.
@@ -109,16 +105,13 @@ class Tracer {
   /// json() to a file; throws std::runtime_error when it cannot write.
   void write(const std::string& path) const;
 
-  void clear();
-
  private:
   friend class Span;
-  void record(char phase, std::string name, std::string cat, Args args,
-              std::int64_t ts_us, std::int64_t dur_us);
+  void record(std::string name, std::string cat, Args args, std::int64_t ts_us,
+              std::int64_t dur_us);
   [[nodiscard]] std::int64_t now_us() const noexcept;
 
   struct Impl;
-  bool enabled_;
   std::unique_ptr<Impl> impl_;
 };
 
@@ -128,7 +121,7 @@ class Tracer {
                                              std::string_view category =
                                                  "cebis",
                                              Tracer::Args args = {}) {
-  if (tracer == nullptr || !tracer->enabled()) return Tracer::Span{};
+  if (tracer == nullptr) return Tracer::Span{};
   return tracer->span(name, category, std::move(args));
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "stats/percentile.h"
 
@@ -86,19 +87,6 @@ double mutual_information(std::span<const double> x, std::span<const double> y,
     }
   }
   return std::max(0.0, mi);
-}
-
-std::vector<double> correlation_matrix(std::span<const std::vector<double>> series) {
-  const std::size_t n = series.size();
-  std::vector<double> m(n * n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double r = pearson(series[i], series[j]);
-      m[i * n + j] = r;
-      m[j * n + i] = r;
-    }
-  }
-  return m;
 }
 
 }  // namespace cebis::stats

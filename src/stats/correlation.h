@@ -7,7 +7,6 @@
 // which we reproduce via a binned estimator.
 
 #include <span>
-#include <vector>
 
 namespace cebis::stats {
 
@@ -20,10 +19,6 @@ namespace cebis::stats {
 /// it pick up the non-linear same-RTO relationships the paper mentions).
 [[nodiscard]] double mutual_information(std::span<const double> x,
                                         std::span<const double> y, int bins = 16);
-
-/// Full correlation matrix for a set of series (row-major, n x n).
-[[nodiscard]] std::vector<double> correlation_matrix(
-    std::span<const std::vector<double>> series);
 
 }  // namespace cebis::stats
 

@@ -17,14 +17,7 @@ Histogram::Histogram(double lo, double hi, double bin_width)
 
 void Histogram::add(double x, double weight) {
   total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
+  if (x < lo_ || x >= hi_) return;
   auto i = static_cast<std::size_t>((x - lo_) / bin_width_);
   if (i >= counts_.size()) i = counts_.size() - 1;  // float edge case at hi
   counts_[i] += weight;
@@ -53,18 +46,6 @@ double Histogram::count(std::size_t i) const {
 double Histogram::fraction(std::size_t i) const {
   if (total_ <= 0.0) return 0.0;
   return count(i) / total_;
-}
-
-double Histogram::fraction_between(double lo, double hi) const {
-  if (total_ <= 0.0) return 0.0;
-  double mass = 0.0;
-  if (lo < lo_) mass += underflow_;
-  if (hi >= hi_) mass += overflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c = bin_center(i);
-    if (c >= lo && c <= hi) mass += counts_[i];
-  }
-  return mass / total_;
 }
 
 std::vector<Histogram::Row> Histogram::rows() const {

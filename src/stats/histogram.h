@@ -14,28 +14,24 @@ namespace cebis::stats {
 class Histogram {
  public:
   /// Bins of width `bin_width` covering [lo, hi); samples outside the
-  /// range are counted in underflow/overflow.
+  /// range count towards total() but land in no bin.
   Histogram(double lo, double hi, double bin_width);
 
   void add(double x, double weight = 1.0);
   void add_all(std::span<const double> xs);
 
+  // cebis-lint: allow(unreferenced-api) obs bucket-edge oracle
   [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] double bin_lo(std::size_t i) const;
+  // cebis-lint: allow(unreferenced-api) obs bucket-edge oracle
   [[nodiscard]] double bin_hi(std::size_t i) const;
   [[nodiscard]] double bin_center(std::size_t i) const;
   [[nodiscard]] double count(std::size_t i) const;
 
   [[nodiscard]] double total() const noexcept { return total_; }
-  [[nodiscard]] double underflow() const noexcept { return underflow_; }
-  [[nodiscard]] double overflow() const noexcept { return overflow_; }
 
   /// Fraction of total mass in bin i (normalized density x bin width).
   [[nodiscard]] double fraction(std::size_t i) const;
-
-  /// Fraction of mass with value in [lo, hi] (includes out-of-range mass
-  /// if the query interval extends past the histogram range).
-  [[nodiscard]] double fraction_between(double lo, double hi) const;
 
   /// Rows "center fraction" for plotting/CSV output.
   struct Row {
@@ -53,8 +49,6 @@ class Histogram {
   double hi_;
   double bin_width_;
   std::vector<double> counts_;
-  double underflow_ = 0.0;
-  double overflow_ = 0.0;
   double total_ = 0.0;
 };
 

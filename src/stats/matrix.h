@@ -26,6 +26,7 @@ class Matrix {
   [[nodiscard]] double& at(std::size_t r, std::size_t c);
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
+  // cebis-lint: allow(unreferenced-api) test oracle for cholesky
   [[nodiscard]] static Matrix identity(std::size_t n);
 
   /// Matrix-vector product.
@@ -34,6 +35,7 @@ class Matrix {
   /// Matrix-matrix product.
   [[nodiscard]] Matrix mul(const Matrix& other) const;
 
+  // cebis-lint: allow(unreferenced-api) test oracle: L*L^T
   [[nodiscard]] Matrix transpose() const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;

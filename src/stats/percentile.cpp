@@ -26,7 +26,6 @@ double percentile(std::span<const double> xs, double p) {
 
 double p95(std::span<const double> xs) { return percentile(xs, 95.0); }
 
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 Quartiles quartiles(std::span<const double> xs) {
   std::vector<double> sorted(xs.begin(), xs.end());

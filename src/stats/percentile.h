@@ -22,9 +22,6 @@ namespace cebis::stats {
 /// Convenience: the 95th percentile (95/5 billing).
 [[nodiscard]] double p95(std::span<const double> xs);
 
-/// Median (50th percentile).
-[[nodiscard]] double median(std::span<const double> xs);
-
 /// Inter-quartile range bounds.
 struct Quartiles {
   double q25 = 0.0;

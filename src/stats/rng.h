@@ -45,11 +45,6 @@ class Rng {
 
   [[nodiscard]] bool bernoulli(double p) { return uniform() < p; }
 
-  [[nodiscard]] double exponential(double rate) {
-    std::exponential_distribution<double> d(rate);
-    return d(engine_);
-  }
-
   [[nodiscard]] int poisson(double mean) {
     std::poisson_distribution<int> d(mean);
     return d(engine_);

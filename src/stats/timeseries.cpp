@@ -17,14 +17,6 @@ std::vector<double> window_average(std::span<const double> xs, std::size_t windo
   return out;
 }
 
-std::vector<double> differences(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw std::invalid_argument("differences: length mismatch");
-  std::vector<double> out;
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out.push_back(a[i] - b[i]);
-  return out;
-}
-
 std::vector<DifferentialRun> differential_runs(std::span<const double> diff,
                                                double threshold) {
   if (threshold < 0.0) {

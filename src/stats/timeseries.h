@@ -20,10 +20,6 @@ namespace cebis::stats {
 [[nodiscard]] std::vector<double> window_average(std::span<const double> xs,
                                                  std::size_t window);
 
-/// Element-wise difference a[i] - b[i] (price differentials, §3.3).
-[[nodiscard]] std::vector<double> differences(std::span<const double> a,
-                                              std::span<const double> b);
-
 /// A sustained price differential (paper §3.3 "Differential Duration"):
 /// a maximal run of consecutive samples where one side is favoured by
 /// more than `threshold`. The run ends as soon as the differential falls

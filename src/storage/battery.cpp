@@ -47,10 +47,6 @@ MegawattHours Battery::discharge(MegawattHours load_request, Hours dt) {
   return MegawattHours{delivered};
 }
 
-double Battery::soc_fraction() const noexcept {
-  return params_.capacity.value() > 0.0 ? soc_ / params_.capacity : 0.0;
-}
-
 MegawattHours Battery::headroom_grid() const noexcept {
   return MegawattHours{(params_.capacity - soc_).value() /
                        params_.round_trip_efficiency};

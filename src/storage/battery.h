@@ -54,8 +54,6 @@ class Battery {
 
   [[nodiscard]] const BatteryParams& params() const noexcept { return params_; }
   [[nodiscard]] MegawattHours soc() const noexcept { return soc_; }
-  /// soc / capacity (0 for a zero-capacity battery).
-  [[nodiscard]] double soc_fraction() const noexcept;
   /// Remaining grid-side energy the battery can absorb instantaneously
   /// (headroom / efficiency), ignoring the power limit.
   [[nodiscard]] MegawattHours headroom_grid() const noexcept;

@@ -84,7 +84,6 @@ void StorageController::on_run_begin(const core::RunInfo& info,
   // mid-month meters exactly the intervals its billing period covers
   // (regression-tested for non-month-boundary starts).
   begin_month(month_index(info.period.begin));
-  outcome_ = core::StorageOutcome{};
   if (metrics_ != nullptr) {
     // Resolved here - not at construction - so the handle binds to the
     // metric shard of whichever thread actually steps the run.
@@ -226,26 +225,27 @@ void StorageController::on_step(const core::StepView& view) {
 
 void StorageController::on_run_end(core::RunResult& result) {
   const std::size_t n = batteries_.size();
-  outcome_.engaged = true;
-  outcome_.cluster_raw_usd.assign(n, 0.0);
-  outcome_.cluster_net_usd.assign(n, 0.0);
+  core::StorageOutcome outcome;
+  outcome.engaged = true;
+  outcome.cluster_raw_usd.assign(n, 0.0);
+  outcome.cluster_net_usd.assign(n, 0.0);
   for (std::size_t c = 0; c < n; ++c) {
     const billing::TariffBill raw = billing::bill_interval_load(
         spec_.tariff, period_, meter_sph_, raw_mwh_[c], spot_[c]);
     const billing::TariffBill net = billing::bill_interval_load(
         spec_.tariff, period_, meter_sph_, net_mwh_[c], spot_[c]);
-    outcome_.raw_energy += raw.energy;
-    outcome_.raw_demand += raw.demand;
-    outcome_.net_energy += net.energy;
-    outcome_.net_demand += net.demand;
-    outcome_.cluster_raw_usd[c] = raw.total().value();
-    outcome_.cluster_net_usd[c] = net.total().value();
-    outcome_.charged_mwh += batteries_[c].total_charged().value();
-    outcome_.discharged_mwh += batteries_[c].total_discharged().value();
-    outcome_.loss_mwh += batteries_[c].conversion_loss().value();
-    outcome_.final_soc_mwh += batteries_[c].soc().value();
+    outcome.raw_energy += raw.energy;
+    outcome.raw_demand += raw.demand;
+    outcome.net_energy += net.energy;
+    outcome.net_demand += net.demand;
+    outcome.cluster_raw_usd[c] = raw.total().value();
+    outcome.cluster_net_usd[c] = net.total().value();
+    outcome.charged_mwh += batteries_[c].total_charged().value();
+    outcome.discharged_mwh += batteries_[c].total_discharged().value();
+    outcome.loss_mwh += batteries_[c].conversion_loss().value();
+    outcome.final_soc_mwh += batteries_[c].soc().value();
   }
-  result.storage = outcome_;
+  result.storage = std::move(outcome);
 }
 
 }  // namespace cebis::storage

@@ -119,11 +119,6 @@ class StorageController final : public core::StepObserver {
   void on_step(const core::StepView& view) override;
   void on_run_end(core::RunResult& result) override;
 
-  /// The accounting of the last completed run (also folded into the
-  /// RunResult). engaged is false before the first run ends.
-  [[nodiscard]] const core::StorageOutcome& outcome() const noexcept {
-    return outcome_;
-  }
   /// Per-cluster batteries of the current/last run (post-run state of
   /// charge inspection).
   [[nodiscard]] const std::vector<Battery>& batteries() const noexcept {
@@ -131,6 +126,7 @@ class StorageController final : public core::StepObserver {
   }
   /// True when the run's metering interval made the exact charge guard
   /// applicable (meter no coarser than the accounting step).
+  // cebis-lint: allow(unreferenced-api) tests read the guard mode
   [[nodiscard]] bool exact_guard() const noexcept { return exact_guard_; }
 
  private:
@@ -148,7 +144,6 @@ class StorageController final : public core::StepObserver {
   void begin_month(int month);
 
   core::StorageSpec spec_;
-  core::StorageOutcome outcome_;
 
   obs::MetricsRegistry* metrics_ = nullptr;  ///< borrowed, may be null
   obs::Counter m_guard_activations_;         ///< resolved at run begin

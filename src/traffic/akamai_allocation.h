@@ -56,6 +56,7 @@ class BaselineAllocation {
   [[nodiscard]] double cluster_weight(StateId state, std::size_t cluster) const;
 
   [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
+  // cebis-lint: allow(unreferenced-api) tests check the shape
   [[nodiscard]] std::size_t city_count() const noexcept { return city_count_; }
 
  private:

@@ -23,8 +23,6 @@ struct ServerCity {
   /// Market hub whose prices bill this city; invalid for the seven
   /// cities without market data.
   HubId hub = HubId::invalid();
-
-  [[nodiscard]] bool has_market_data() const noexcept { return hub.valid(); }
 };
 
 /// Number of market-hub clusters the usable cities group into.

@@ -43,11 +43,6 @@ void TrafficTrace::set_hits(std::int64_t step, StateId state, HitsPerSec value) 
   us_[s * state_count_ + state.index()] = value.value();
 }
 
-HitsPerSec TrafficTrace::world(std::int64_t step, WorldRegion region) const {
-  const std::size_t s = check_step(step);
-  return HitsPerSec{world_[s * kWorldRegionCount + static_cast<std::size_t>(region)]};
-}
-
 void TrafficTrace::set_world(std::int64_t step, WorldRegion region, HitsPerSec value) {
   const std::size_t s = check_step(step);
   world_[s * kWorldRegionCount + static_cast<std::size_t>(region)] = value.value();

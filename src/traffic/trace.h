@@ -46,7 +46,6 @@ class TrafficTrace {
   [[nodiscard]] HitsPerSec hits(std::int64_t step, StateId state) const;
   void set_hits(std::int64_t step, StateId state, HitsPerSec value);
 
-  [[nodiscard]] HitsPerSec world(std::int64_t step, WorldRegion region) const;
   void set_world(std::int64_t step, WorldRegion region, HitsPerSec value);
 
   /// Sum across US states at a step.

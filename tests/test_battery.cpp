@@ -43,7 +43,7 @@ TEST(Battery, Validation) {
 TEST(Battery, InitialSoc) {
   Battery b(small_battery());
   EXPECT_DOUBLE_EQ(b.soc().value(), 5.0);
-  EXPECT_DOUBLE_EQ(b.soc_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(b.soc().value() / b.params().capacity.value(), 0.5);
 }
 
 TEST(Battery, ChargeRespectsPowerAndHeadroom) {
@@ -82,14 +82,14 @@ TEST(Battery, ZeroCapacityIsInert) {
   Battery b(BatteryParams{});
   EXPECT_DOUBLE_EQ(b.charge(MegawattHours{1.0}, kOneHour).value(), 0.0);
   EXPECT_DOUBLE_EQ(b.discharge(MegawattHours{1.0}, kOneHour).value(), 0.0);
-  EXPECT_DOUBLE_EQ(b.soc_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(b.soc().value(), 0.0);
 }
 
 TEST(Battery, SizingHelper) {
   const BatteryParams p = battery_for_mean_load(0.5, 4.0);
   EXPECT_DOUBLE_EQ(p.capacity.value(), 2.0);
-  EXPECT_DOUBLE_EQ(p.max_charge.megawatts(), 0.5);
-  EXPECT_DOUBLE_EQ(p.max_discharge.megawatts(), 0.5);
+  EXPECT_DOUBLE_EQ(p.max_charge.value(), 0.5e6);
+  EXPECT_DOUBLE_EQ(p.max_discharge.value(), 0.5e6);
   EXPECT_DOUBLE_EQ(p.round_trip_efficiency, 0.85);
   EXPECT_THROW((void)battery_for_mean_load(-1.0, 4.0), std::invalid_argument);
   EXPECT_THROW((void)battery_for_mean_load(1.0, 4.0, 0.0), std::invalid_argument);

@@ -108,24 +108,5 @@ TEST(MutualInformation, Errors) {
   EXPECT_THROW((void)mutual_information(x, x, 1), std::invalid_argument);
 }
 
-TEST(CorrelationMatrix, SymmetricWithUnitDiagonal) {
-  Rng rng = test::test_rng(6);
-  std::vector<std::vector<double>> series(3);
-  for (int i = 0; i < 500; ++i) {
-    const double f = rng.normal();
-    series[0].push_back(f + rng.normal());
-    series[1].push_back(f + rng.normal());
-    series[2].push_back(rng.normal());
-  }
-  const std::vector<double> m = correlation_matrix(series);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(m[i * 3 + i], 1.0);
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(m[i * 3 + j], m[j * 3 + i]);
-    }
-  }
-  EXPECT_GT(m[0 * 3 + 1], m[0 * 3 + 2]);
-}
-
 }  // namespace
 }  // namespace cebis::stats

@@ -169,10 +169,8 @@ TEST(Aggregator, PackagesSitesIntoRegionBlocks) {
   EXPECT_NEAR(report.sites_cut.value(), 576.0, test::kSumTol);
 }
 
-TEST(Aggregator, EventRevenueAndValidation) {
+TEST(Aggregator, Validation) {
   Aggregator agg(AggregationTerms{});
-  EXPECT_DOUBLE_EQ(agg.event_revenue(10.0).value(), 1200.0);
-  EXPECT_THROW((void)agg.event_revenue(-1.0), std::invalid_argument);
   EXPECT_THROW(agg.enroll(Site{"zero", market::Rto::kPjm, 0.0}),
                std::invalid_argument);
   AggregationTerms bad;

@@ -52,13 +52,18 @@ TEST(EnergyModel, UtilizationClamped) {
   EXPECT_DOUBLE_EQ(model.power(1.5, 1).value(), model.power(1.0, 1).value());
 }
 
+// The prose's two least efficient presets (§6.1), which no figure uses.
+constexpr EnergyModelParams kStateOfTheArt{.idle_fraction = 0.65, .pue = 1.7};
+constexpr EnergyModelParams kNoPowerManagement{.idle_fraction = 0.95,
+                                               .pue = 2.0};
+
 TEST(EnergyModel, Inelasticity) {
   // Fully proportional: P(0) = 0.
   EXPECT_DOUBLE_EQ(ClusterEnergyModel(fully_proportional_params()).inelasticity(),
                    0.0);
   // No power management (95% idle, PUE 2.0): P(0)/P(1) =
   // (0.95 + 1) / (1 + 1) = 0.975.
-  EXPECT_NEAR(ClusterEnergyModel(no_power_mgmt_params()).inelasticity(), 0.975,
+  EXPECT_NEAR(ClusterEnergyModel(kNoPowerManagement).inelasticity(), 0.975,
               test::kNumericTol);
   // Google-like (65%, 1.3): (0.65 + 0.3) / (1 + 0.3) ~= 0.731.
   EXPECT_NEAR(ClusterEnergyModel(google_params()).inelasticity(), 0.95 / 1.3,
@@ -68,8 +73,8 @@ TEST(EnergyModel, Inelasticity) {
 TEST(EnergyModel, InelasticityOrderingAcrossPresets) {
   const double future = ClusterEnergyModel(optimistic_future_params()).inelasticity();
   const double google = ClusterEnergyModel(google_params()).inelasticity();
-  const double sota = ClusterEnergyModel(state_of_the_art_params()).inelasticity();
-  const double none = ClusterEnergyModel(no_power_mgmt_params()).inelasticity();
+  const double sota = ClusterEnergyModel(kStateOfTheArt).inelasticity();
+  const double none = ClusterEnergyModel(kNoPowerManagement).inelasticity();
   EXPECT_LT(future, google);
   EXPECT_LT(google, sota);
   EXPECT_LT(sota, none);

@@ -83,30 +83,9 @@ TEST_F(DistanceModelTest, Dimensions) {
   EXPECT_EQ(model_.site_count(), 3u);
 }
 
-TEST_F(DistanceModelTest, ClosestSiteMakesSense) {
-  const auto& states = StateRegistry::instance();
-  EXPECT_EQ(model_.closest_site(states.by_code("MA")), 0u);  // Boston
-  EXPECT_EQ(model_.closest_site(states.by_code("IL")), 1u);  // Chicago
-  EXPECT_EQ(model_.closest_site(states.by_code("CA")), 2u);  // LA
-  EXPECT_EQ(model_.closest_site(states.by_code("WI")), 1u);
-}
-
-TEST_F(DistanceModelTest, SitesWithinSortedAndFiltered) {
-  const auto& states = StateRegistry::instance();
-  const StateId ma = states.by_code("MA");
-  const auto near = model_.sites_within(ma, Km{500.0});
-  ASSERT_EQ(near.size(), 1u);
-  EXPECT_EQ(near[0], 0u);
-  const auto all = model_.sites_within(ma, Km{10000.0});
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_LE(model_.distance(ma, all[0]).value(), model_.distance(ma, all[1]).value());
-  EXPECT_LE(model_.distance(ma, all[1]).value(), model_.distance(ma, all[2]).value());
-}
-
 TEST_F(DistanceModelTest, Errors) {
   EXPECT_THROW((void)model_.distance(StateId::invalid(), 0), std::out_of_range);
   EXPECT_THROW((void)model_.distance(StateId{0}, 99), std::out_of_range);
-  EXPECT_THROW((void)model_.closest_site(StateId::invalid()), std::out_of_range);
   EXPECT_THROW(DistanceModel(StateRegistry::instance().all(), {}),
                std::invalid_argument);
 }

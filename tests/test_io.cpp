@@ -37,7 +37,8 @@ TEST(CsvWriter, NumericRow) {
   TempFile tmp("cebis_numeric.csv");
   {
     CsvWriter csv(tmp.path());
-    csv.numeric_row("series", {1.5, 2.0, 0.25});
+    csv.row({"series", format_number(1.5), format_number(2.0),
+             format_number(0.25)});
   }
   EXPECT_EQ(slurp(tmp.path()), "series,1.5,2,0.25\n");
 }

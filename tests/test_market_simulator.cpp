@@ -149,15 +149,5 @@ TEST(HourlySeries, SliceAndAccessors) {
   EXPECT_THROW(HourlySeries(Period{0, 2}, {1.0}), std::invalid_argument);
 }
 
-TEST(HourlySeries, DailyAverages) {
-  std::vector<double> v(48, 1.0);
-  for (int i = 24; i < 48; ++i) v[static_cast<std::size_t>(i)] = 3.0;
-  HourlySeries s(Period{0, 48}, std::move(v));
-  const auto daily = s.daily_averages();
-  ASSERT_EQ(daily.size(), 2u);
-  EXPECT_DOUBLE_EQ(daily[0], 1.0);
-  EXPECT_DOUBLE_EQ(daily[1], 3.0);
-}
-
 }  // namespace
 }  // namespace cebis::market

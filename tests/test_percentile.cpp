@@ -45,7 +45,7 @@ TEST(Percentile, P95OfUniformRamp) {
   std::vector<double> xs;
   for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));
   EXPECT_NEAR(p95(xs), 95.0, 0.1);
-  EXPECT_NEAR(median(xs), 50.5, test::kNumericTol);
+  EXPECT_NEAR(percentile(xs, 50.0), 50.5, test::kNumericTol);
 }
 
 TEST(Percentile, Quartiles) {

@@ -1,11 +1,18 @@
 // Randomized invariant tests ("fuzz") for the routers: across many
 // randomly generated contexts, conservation and limit-respect must hold
-// exactly. These are the invariants the accounting relies on.
+// exactly. These are the invariants the accounting relies on. A naive
+// reference router, written from paper §6.1 without any of the plan
+// caching, holds PriceAwareRouter to bit-identical allocations on
+// tie-heavy prices.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/baseline_routers.h"
 #include "core/joint_router.h"
@@ -13,6 +20,7 @@
 #include "geo/us_states.h"
 #include "stats/rng.h"
 #include "test_support.h"
+#include "traffic/akamai_allocation.h"
 
 namespace cebis::core {
 namespace {
@@ -287,6 +295,196 @@ TEST_P(RouterFuzz, FiveMinutePlanReplayMatchesPerStepRouting) {
   EXPECT_EQ(replay_pa.plan_rebuilds(), kHours);
   EXPECT_EQ(replay_joint.plan_rebuilds(), kHours);
   EXPECT_EQ(replay_pa.limit_refreshes(), 2);  // initial snapshot + capacity drop
+}
+
+// --- naive reference router --------------------------------------------------
+
+/// PriceAwareRouter as paper §6.1 and the router's header comment state
+/// it, recomputed from scratch on every call: no plan, no cached orders,
+/// no limit snapshot.
+class ReferencePriceAwareRouter {
+ public:
+  ReferencePriceAwareRouter(const geo::DistanceModel& distances,
+                            PriceAwareConfig config,
+                            const traffic::BaselineAllocation* fallback)
+      : distances_(distances), config_(config), fallback_(fallback) {}
+
+  void route(const RoutingContext& ctx, Allocation& out) const {
+    out.clear();
+    const bool with_p95 = !ctx.p95_limit.empty() && !ctx.can_burst.empty();
+    // Capacity, capped at the 95/5 reference when one applies.
+    const auto strict = [&](std::size_t c) {
+      return ctx.p95_limit.empty()
+                 ? ctx.capacity[c]
+                 : std::min(ctx.capacity[c], ctx.p95_limit[c]);
+    };
+    const auto raw = [&](std::size_t c) { return ctx.capacity[c]; };
+    const auto burstable = [&](std::size_t c) { return ctx.can_burst[c] != 0; };
+    const auto any = [](std::size_t) { return true; };
+
+    std::vector<std::pair<std::size_t, double>> leftovers;
+    for (std::size_t s = 0; s < ctx.demand.size(); ++s) {
+      double remaining = ctx.demand[s];
+      if (remaining <= 0.0) continue;
+      const StateId state{static_cast<std::int32_t>(s)};
+      const std::vector<std::size_t> nearest_first = by_distance(state, ctx);
+
+      // Candidates: every cluster within the distance threshold; with
+      // none, the closest cluster and any within the slack of it.
+      const std::size_t nearest = nearest_first.front();
+      double radius = config_.distance_threshold.value();
+      if (km(state, nearest) > radius) {
+        radius = km(state, nearest) + config_.nearby_slack.value();
+      }
+      std::vector<std::size_t> candidates;
+      std::vector<std::size_t> outside;
+      for (const std::size_t c : nearest_first) {
+        (km(state, c) <= radius ? candidates : outside).push_back(c);
+      }
+
+      // Cheapest first; a saving under the price threshold is ignored
+      // in favour of the nearest cluster.
+      std::vector<std::size_t> order = by_price(state, candidates, ctx);
+      if (ctx.price[nearest] - ctx.price[order.front()] <
+          config_.price_threshold.value()) {
+        order.erase(std::find(order.begin(), order.end(), nearest));
+        order.insert(order.begin(), nearest);
+      }
+
+      fill(out, s, order, strict, any, remaining);
+      if (remaining > 0.0 && fallback_ != nullptr) {
+        const double handed = remaining;
+        for (std::size_t c = 0; c < ctx.price.size() && remaining > 0.0; ++c) {
+          const double w = fallback_->cluster_weight(state, c);
+          if (w <= 0.0) continue;
+          const double room = strict(c) - out.cluster_total(c);
+          const double take =
+              std::min({remaining, handed * w, std::max(0.0, room)});
+          if (take > 0.0) {
+            out.add(s, c, take);
+            remaining -= take;
+          }
+        }
+      }
+      if (with_p95) fill(out, s, order, raw, burstable, remaining);
+      fill(out, s, outside, strict, any, remaining);
+      if (remaining > 0.0) leftovers.emplace_back(s, remaining);
+    }
+
+    // Phase 2, a genuine peak: burst budget over every cluster cheapest
+    // first, then raw capacity nearest first, then overload the nearest.
+    for (auto& [s, remaining] : leftovers) {
+      const StateId state{static_cast<std::int32_t>(s)};
+      const std::vector<std::size_t> nearest_first = by_distance(state, ctx);
+      if (with_p95) {
+        fill(out, s, by_price(state, nearest_first, ctx), raw, burstable,
+             remaining);
+      }
+      fill(out, s, nearest_first, raw, any, remaining);
+      if (remaining > 0.0) out.add(s, nearest_first.front(), remaining);
+    }
+  }
+
+ private:
+  [[nodiscard]] double km(StateId state, std::size_t c) const {
+    return distances_.distance(state, c).value();
+  }
+
+  /// Every cluster, nearest first.
+  [[nodiscard]] std::vector<std::size_t> by_distance(
+      StateId state, const RoutingContext& ctx) const {
+    std::vector<std::size_t> order(ctx.price.size());
+    for (std::size_t c = 0; c < order.size(); ++c) order[c] = c;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::pair(km(state, a), a) < std::pair(km(state, b), b);
+    });
+    return order;
+  }
+
+  /// `clusters` cheapest first, the nearer one first on a price tie.
+  [[nodiscard]] std::vector<std::size_t> by_price(
+      StateId state, std::vector<std::size_t> clusters,
+      const RoutingContext& ctx) const {
+    std::sort(clusters.begin(), clusters.end(),
+              [&](std::size_t a, std::size_t b) {
+                return std::tuple(ctx.price[a], km(state, a), a) <
+                       std::tuple(ctx.price[b], km(state, b), b);
+              });
+    return clusters;
+  }
+
+  /// Greedy fill of `clusters` in order, each up to `limit`.
+  template <typename Limit, typename Allowed>
+  static void fill(Allocation& out, std::size_t s,
+                   const std::vector<std::size_t>& clusters, Limit limit,
+                   Allowed allowed, double& remaining) {
+    for (const std::size_t c : clusters) {
+      if (remaining <= 0.0) return;
+      if (!allowed(c)) continue;
+      const double room = limit(c) - out.cluster_total(c);
+      if (room <= 0.0) continue;
+      const double take = std::min(remaining, room);
+      out.add(s, c, take);
+      remaining -= take;
+    }
+  }
+
+  const geo::DistanceModel& distances_;
+  PriceAwareConfig config_;
+  const traffic::BaselineAllocation* fallback_;
+};
+
+TEST_P(RouterFuzz, PriceAwareMatchesNaiveReferenceOnTiedPrices) {
+  // Four price tiers, so most clusters tie with another; 33 - 30 is
+  // under the $5/MWh threshold, so the nearest preference decides
+  // between the two cheapest tiers.
+  constexpr double kTiers[] = {30.0, 33.0, 45.0, 80.0};
+  const traffic::BaselineAllocation fallback(test::kTestSeed);
+  stats::Rng rng(test::kTestSeed ^ (GetParam() * 0x2545F491u));
+
+  for (const double threshold_km : {0.0, 800.0, 1500.0, 5000.0}) {
+    for (const bool with_fallback : {false, true}) {
+      PriceAwareConfig cfg;
+      cfg.distance_threshold = Km{threshold_km};
+      const traffic::BaselineAllocation* fb =
+          with_fallback ? &fallback : nullptr;
+      // One long-lived router: rounds that repeat a price vector replay
+      // its plan, the others rebuild it.
+      PriceAwareRouter router(fuzz_distances(), kClusters, cfg, fb);
+      const ReferencePriceAwareRouter reference(fuzz_distances(), cfg, fb);
+      for (int round = 0; round < 6; ++round) {
+        FuzzContext f = make_context(rng.index(1u << 30));
+        for (auto& p : f.price) p = kTiers[rng.index(std::size(kTiers))];
+        // Every other round squeezes the clusters so that spills, the
+        // fallback, bursts and the phase-2 overload all run.
+        if (round % 2 == 1) {
+          for (std::size_t c = 0; c < kClusters; ++c) {
+            f.capacity[c] *= 0.15;
+            f.p95[c] *= 0.15;
+          }
+        }
+        for (const bool with_p95 : {false, true}) {
+          Allocation got(f.demand.size(), kClusters);
+          Allocation want(f.demand.size(), kClusters);
+          router.route(f.view(with_p95), got);
+          reference.route(f.view(with_p95), want);
+          ASSERT_TRUE(allocations_bit_identical(got, want))
+              << "threshold " << threshold_km << " km, fallback "
+              << with_fallback << ", round " << round << ", 95/5 "
+              << with_p95;
+          // The accounting walks cells in first-touch order.
+          const auto same_cell = [](const Allocation::Entry& a,
+                                    const Allocation::Entry& b) {
+            return a.state == b.state && a.cluster == b.cluster;
+          };
+          ASSERT_TRUE(std::ranges::equal(got.nonzero(), want.nonzero(),
+                                         same_cell))
+              << "first-touch order, threshold " << threshold_km
+              << " km, round " << round;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz,

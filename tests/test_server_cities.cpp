@@ -15,7 +15,7 @@ TEST(ServerCities, TwentyFiveCities) {
   EXPECT_EQ(reg.size(), 25u);
   int with_market = 0;
   for (const auto& c : reg.all()) {
-    if (c.has_market_data()) ++with_market;
+    if (c.hub.valid()) ++with_market;
   }
   EXPECT_EQ(with_market, 18);  // paper: seven cities discarded
 }
@@ -34,7 +34,7 @@ TEST(ServerCities, DiscardedCitiesHaveNoCluster) {
   const auto& reg = ServerCityRegistry::instance();
   for (std::size_t i = 0; i < reg.size(); ++i) {
     const CityId id{static_cast<std::int32_t>(i)};
-    if (!reg.info(id).has_market_data()) {
+    if (!reg.info(id).hub.valid()) {
       EXPECT_EQ(reg.cluster_of(id), -1) << reg.info(id).name;
     }
   }

@@ -30,16 +30,6 @@ TEST(WindowAverage, SmoothingReducesVariance) {
   for (double v : w) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(Differences, ElementWise) {
-  const std::vector<double> a = {5.0, 6.0};
-  const std::vector<double> b = {1.0, 9.0};
-  const auto d = differences(a, b);
-  EXPECT_DOUBLE_EQ(d[0], 4.0);
-  EXPECT_DOUBLE_EQ(d[1], -3.0);
-  EXPECT_THROW((void)differences(a, std::vector<double>{1.0}),
-               std::invalid_argument);
-}
-
 TEST(DifferentialRuns, SplitsOnSignAndThreshold) {
   // +8 +8 | below | -7 -7 -7 | below  -> two runs.
   const std::vector<double> diff = {8.0, 8.0, 2.0, -7.0, -7.0, -7.0, 1.0};

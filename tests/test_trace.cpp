@@ -51,7 +51,7 @@ TEST(TrafficTrace, Scale) {
   t.set_world(0, WorldRegion::kEurope, HitsPerSec{4.0});
   t.scale(2.5);
   EXPECT_DOUBLE_EQ(t.hits(0, StateId{0}).value(), 25.0);
-  EXPECT_DOUBLE_EQ(t.world(0, WorldRegion::kEurope).value(), 10.0);
+  EXPECT_DOUBLE_EQ(t.global_total(0).value(), 35.0);  // world scaled too
   EXPECT_THROW(t.scale(0.0), std::invalid_argument);
 }
 

@@ -54,7 +54,6 @@ TEST(Units, PowerTimesTimeIsEnergy) {
   const Watts megawatt{1e6};
   EXPECT_DOUBLE_EQ((megawatt * Hours{2.0}).value(), 2.0);
   EXPECT_DOUBLE_EQ((Hours{0.5} * megawatt).value(), 0.5);
-  EXPECT_DOUBLE_EQ(megawatt.megawatts(), 1.0);
 }
 
 TEST(Units, IntensityTimesEnergyIsEmissions) {

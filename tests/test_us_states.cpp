@@ -24,7 +24,9 @@ TEST(StateRegistry, UniqueCodes) {
 
 TEST(StateRegistry, TotalPopulationNearCensus2000) {
   // 2000 census: ~281M.
-  EXPECT_NEAR(StateRegistry::instance().total_population(), 281e6, 15e6);
+  double total = 0.0;
+  for (const auto& s : StateRegistry::instance().all()) total += s.population;
+  EXPECT_NEAR(total, 281e6, 15e6);
 }
 
 TEST(StateRegistry, PointWeightsNormalized) {

@@ -47,6 +47,18 @@ golden anchor ever drifts:
                       thread the service spawns is joined on stop()
                       (PR 9's server/hub lifecycle); a detached thread
                       outlives its Impl and tears at exit.
+  unreferenced-api    Nothing ships without a caller: a public function
+                      declared in a src/ header must be named somewhere
+                      in src/, bench/, examples/ or perfbench/ other
+                      than its own declaration and out-of-line
+                      definition. tests/ do not count - code only its
+                      unit tests call is dead weight. Constructors,
+                      destructors and operators are exempt. A
+                      whole-tree pass: it reads perfbench/ for
+                      references but lints nothing there. Matching is
+                      by name, so a name any other code uses (a local
+                      variable, a std:: member of the same name) counts
+                      as referenced.
 
 Waivers: a finding on line N is suppressed by a comment on line N or
 N-1 of the form
@@ -63,14 +75,17 @@ Usage:
   python3 tools/cebis_lint.py --list-rules
 
 With no paths, lints src/ plus the headers under bench/, examples/ and
-tests/ (header-scoped rules only). Exit 1 on any finding. Under GitHub
-Actions (GITHUB_ACTIONS=true) findings are also emitted as ::error::
+tests/ (header-scoped rules only). unreferenced-api always reads the
+whole product tree for references and reports only in the linted src/
+headers. Exit 1 on any finding. Under GitHub Actions
+(GITHUB_ACTIONS=true) findings are also emitted as ::error::
 annotations, matching bench/check_bench_results.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import os
 import pathlib
@@ -127,8 +142,25 @@ RULES = {
     "nodiscard-result": "result-returning API missing [[nodiscard]]",
     "using-namespace": "`using namespace` in src/ or a header",
     "thread-detach": "detached thread in src/",
+    "unreferenced-api": "public src/ function no product code names",
     "waiver-missing-reason": "cebis-lint waiver without a reason",
 }
+
+# Where a reference makes a product caller for unreferenced-api.
+PRODUCT_DIRS = ("src", "bench", "examples", "perfbench")
+CXX_SUFFIXES = (".h", ".hpp", ".cpp", ".cc")
+
+# Words that can sit in declarator position (`void(int)`, `sizeof(x)`)
+# without declaring a function.
+CXX_KEYWORDS = {
+    "alignas", "alignof", "auto", "bool", "char", "const", "constexpr",
+    "decltype", "default", "delete", "double", "explicit", "float",
+    "if", "int", "long", "noexcept", "requires", "return", "short",
+    "signed", "sizeof", "static_assert", "switch", "throw", "unsigned",
+    "void", "while", "for",
+}
+TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|->|\S")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 WALL_CLOCK_RE = re.compile(
     r"\b(?:system_clock|steady_clock|high_resolution_clock"
@@ -360,6 +392,163 @@ def lint_file(rel: str, text: str) -> list[Finding]:
     return findings
 
 
+@dataclasses.dataclass
+class Scope:
+    kind: str  # "namespace", "class" or "code"
+    name: str = ""  # a class's name: its constructors are exempt
+    exported: bool = True  # declarations here are public API
+    access_public: bool = True  # a class's current access section
+    # The declaration state an initializer's braces interrupted.
+    resume: tuple[list[str], int, bool] | None = None
+
+
+def open_scope(outer: Scope, head: list[str]) -> Scope:
+    """The scope a `{` opens after the declaration tokens `head`."""
+    words = head
+    if words[:1] == ["template"]:  # step over template <...>
+        depth = 0
+        for k, word in enumerate(words[1:], start=1):
+            depth += (word == "<") - (word == ">")
+            if depth == 0:
+                words = words[k + 1:]
+                break
+    exported = outer.exported and outer.access_public
+    if words[:1] == ["namespace"]:
+        return Scope("namespace", exported=exported and len(words) > 1)
+    if words[:1] == ["extern"]:
+        return Scope("namespace", exported=exported)
+    if words[:1] in (["class"], ["struct"], ["union"]) and "(" not in words:
+        name = next((w for w in words[1:] if IDENT_RE.fullmatch(w)), "")
+        return Scope("class", name=name, exported=exported,
+                     access_public=words[0] != "class")
+    return Scope("code")  # function bodies, enums, brace initializers
+
+
+def scan_names(code: list[str]) -> tuple[list[tuple[int, str]],
+                                          collections.Counter[str]]:
+    """Splits one file's identifiers into function declarators and uses.
+
+    Returns the exported function declarations - (line, name) of each
+    function declared at namespace or public class scope, constructors,
+    destructors and operators left out - and a count of every other
+    identifier. A declarator is an identifier at declaration scope,
+    outside parentheses, initializers and constructor init lists,
+    followed by `(`. An out-of-line definition (`Class::name(`) is a
+    declarator too, so neither it nor the declaration counts as a use.
+    """
+    toks = [(no, m.group(0)) for no, line in enumerate(code, start=1)
+            if not line.lstrip().startswith("#")
+            for m in TOKEN_RE.finditer(line)]
+    decls: list[tuple[int, str]] = []
+    uses: collections.Counter[str] = collections.Counter()
+    stack = [Scope("namespace")]
+    head: list[str] = []  # the declaration being read
+    paren, after_eq, init_list = 0, False, False
+    i = 0
+    while i < len(toks):
+        line, tok = toks[i]
+        top = stack[-1]
+        if top.kind == "code":
+            if tok == "{":
+                stack.append(Scope("code"))
+            elif tok == "}":
+                stack.pop()
+                if top.resume is not None:
+                    head, paren, after_eq = top.resume
+            elif IDENT_RE.fullmatch(tok):
+                uses[tok] += 1
+            i += 1
+            continue
+        prev = toks[i - 1][1] if i else ""
+        nxt = toks[i + 1][1] if i + 1 < len(toks) else ""
+        if tok == "operator":
+            # Operators are exempt: step over the symbol, `()` included,
+            # to the parameter list.
+            i += 3 if nxt == "(" else 1
+            while i < len(toks) and toks[i][1] != "(":
+                i += 1
+            head.append(tok)
+            continue
+        if tok == "{":
+            if paren or after_eq:
+                stack.append(Scope("code", resume=(head, paren, after_eq)))
+            else:
+                stack.append(open_scope(top, head))
+                head, init_list = [], False
+            i += 1
+            continue
+        if tok == "}" or (tok == ";" and not paren):
+            if tok == "}" and len(stack) > 1:
+                stack.pop()
+            head, paren, after_eq, init_list = [], 0, False, False
+            i += 1
+            continue
+        if tok == ":" and not paren:
+            if head in (["public"], ["private"], ["protected"]):
+                top.access_public = head == ["public"]
+                head = []
+                i += 1
+                continue
+            init_list = True
+        paren += (tok == "(") - (tok == ")")
+        after_eq = after_eq or (tok == "=" and not paren)
+        if IDENT_RE.fullmatch(tok):
+            declarator = (nxt == "(" and not paren and not after_eq
+                          and not init_list and prev not in (".", "->")
+                          and tok not in CXX_KEYWORDS)
+            if not declarator:
+                uses[tok] += 1
+            elif (prev not in ("::", "~") and tok != top.name
+                  and top.exported and top.access_public
+                  and not {"friend", "using", "typedef"} & set(head)):
+                decls.append((line, tok))
+        head.append(tok)
+        i += 1
+    return decls, uses
+
+
+def unreferenced_api(sources: dict[str, str]) -> list[Finding]:
+    """unreferenced-api over a whole tree, given as {repo path: text}.
+
+    Only files under PRODUCT_DIRS are read, so a unit test is never a
+    caller; only src/ headers declare the API that needs one.
+    """
+    uses: collections.Counter[str] = collections.Counter()
+    declared: list[tuple[str, int, str]] = []
+    for rel, text in sorted(sources.items()):
+        if (rel.split("/", 1)[0] not in PRODUCT_DIRS
+                or not rel.endswith(CXX_SUFFIXES)):
+            continue
+        decls, file_uses = scan_names(strip_noncode(text.splitlines()))
+        uses.update(file_uses)
+        if rel.startswith("src/") and rel.endswith(".h"):
+            declared.extend((rel, line, name) for line, name in decls)
+    findings = []
+    for rel, line, name in declared:
+        if uses[name]:
+            continue
+        waived, _ = collect_waivers(sources[rel].splitlines())
+        if "unreferenced-api" in waived.get(line, set()):
+            continue
+        findings.append(Finding(
+            rel, line, "unreferenced-api",
+            f"'{name}' is named nowhere in src/, bench/, examples/ or "
+            "perfbench/ - nothing ships without a caller: delete it with "
+            "its unit tests, or waive with the reason a test needs it"))
+    return findings
+
+
+def product_sources(root: pathlib.Path) -> dict[str, str]:
+    """Every C++ file under PRODUCT_DIRS, keyed by repo-relative path."""
+    sources = {}
+    for top in PRODUCT_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in CXX_SUFFIXES and path.is_file():
+                rel = path.relative_to(root).as_posix()
+                sources[rel] = path.read_text(encoding="utf-8")
+    return sources
+
+
 def default_paths(root: pathlib.Path) -> list[pathlib.Path]:
     paths = sorted((root / "src").rglob("*.cpp")) + sorted(
         (root / "src").rglob("*.h"))
@@ -399,6 +588,11 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = args.paths or default_paths(args.root)
     findings = lint_paths(args.root, paths)
+    linted = {p.resolve().relative_to(args.root.resolve()).as_posix()
+              for p in paths}
+    findings += [f for f in unreferenced_api(product_sources(args.root))
+                 if f.path in linted]
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
     annotate = os.environ.get("GITHUB_ACTIONS") == "true"
     for f in findings:
         print(f)

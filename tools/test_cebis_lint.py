@@ -212,6 +212,82 @@ class ThreadDetachRule(unittest.TestCase):
             rules_at("src/net/server.cpp", "worker.join();\n"), [])
 
 
+class UnreferencedApiRule(unittest.TestCase):
+    HEADER = ("namespace cebis::stats {\n"
+              "[[nodiscard]] double median(std::span<const double> xs);\n"
+              "}  // namespace cebis::stats\n")
+    DEFINITION = ("namespace cebis::stats {\n"
+                  "double median(std::span<const double> xs) {\n"
+                  "  return percentile(xs, 50.0);\n"
+                  "}\n"
+                  "}  // namespace cebis::stats\n")
+    CALL = "void run() { const double m = stats::median(xs); }\n"
+
+    @staticmethod
+    def flagged(sources: dict[str, str]) -> list[tuple[str, int]]:
+        return [(f.path, f.line)
+                for f in cebis_lint.unreferenced_api(sources)]
+
+    def test_unreferenced_function_is_flagged(self):
+        self.assertEqual(self.flagged({"src/stats/percentile.h": self.HEADER}),
+                         [("src/stats/percentile.h", 2)])
+
+    def test_own_declaration_and_definition_do_not_count(self):
+        tree = {"src/stats/percentile.h": self.HEADER,
+                "src/stats/percentile.cpp": self.DEFINITION}
+        self.assertEqual(len(self.flagged(tree)), 1)
+
+    def test_member_definition_does_not_count(self):
+        tree = {"src/io/csv.h": ("class CsvWriter {\n public:\n"
+                                 "  void numeric_row(double v);\n};\n"),
+                "src/io/csv.cpp": ("void CsvWriter::numeric_row(double v) {\n"
+                                   "  row(v);\n}\n")}
+        self.assertEqual(self.flagged(tree), [("src/io/csv.h", 3)])
+
+    def test_product_reference_clears_it(self):
+        for rel in ("bench/bench_fig07.cpp", "perfbench/src/sweep.cpp",
+                    "examples/quickstart.cpp", "src/market/calibration.cpp"):
+            tree = {"src/stats/percentile.h": self.HEADER, rel: self.CALL}
+            self.assertEqual(self.flagged(tree), [], rel)
+
+    def test_test_reference_does_not_count(self):
+        tree = {"src/stats/percentile.h": self.HEADER,
+                "tests/test_percentile.cpp": self.CALL}
+        self.assertEqual(len(self.flagged(tree)), 1)
+
+    def test_perfbench_headers_are_not_linted(self):
+        tree = {"perfbench/src/bench.h": self.HEADER}
+        self.assertEqual(self.flagged(tree), [])
+
+    def test_constructors_destructors_operators_and_private_are_exempt(self):
+        text = ("class Matrix {\n public:\n  Matrix(int n);\n  ~Matrix();\n"
+                "  bool operator==(const Matrix& o) const = default;\n"
+                "  double operator()(int r, int c) const;\n"
+                " private:\n  void grow(int n);\n};\n"
+                "struct Row {\n  Row() = default;\n};\n")
+        self.assertEqual(self.flagged({"src/stats/matrix.h": text}), [])
+
+    def test_parameters_and_initializers_are_references(self):
+        text = ("int limit();\n"
+                "struct Config {\n  int cap = limit();\n};\n")
+        self.assertEqual(self.flagged({"src/core/config.h": text}), [])
+
+    def test_waiver_with_reason_suppresses(self):
+        text = ("// cebis-lint: allow(unreferenced-api) test oracle\n"
+                "[[nodiscard]] double median(std::span<const double> xs);\n")
+        self.assertEqual(self.flagged({"src/stats/percentile.h": text}), [])
+
+    def test_waiver_without_reason_is_a_finding(self):
+        text = ("// cebis-lint: allow(unreferenced-api)\n"
+                "[[nodiscard]] double median(std::span<const double> xs);\n")
+        self.assertEqual(len(self.flagged({"src/stats/percentile.h": text})), 1)
+        self.assertIn("waiver-missing-reason",
+                      rules_at("src/stats/percentile.h", text))
+
+    def test_listed(self):
+        self.assertIn("unreferenced-api", cebis_lint.RULES)
+
+
 class HarnessBehavior(unittest.TestCase):
     def test_string_literals_do_not_fire(self):
         text = 'throw Error("steady_clock reads are banned");\n'
