@@ -2,7 +2,7 @@
 // threshold vs a soft distance penalty in the objective. Both trace a
 // cost-vs-mean-distance frontier; an integrated traffic-engineering
 // framework would use the soft form. Both schemes are registry routers,
-// so the whole frontier is one batched sweep over one shared engine.
+// so the whole frontier is one batched sweep.
 
 #include <vector>
 
@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
     s.config = core::JointObjectiveConfig{.lambda_usd_per_mwh_km = lambda};
     specs.push_back(s);
   }
-  core::SweepStats stats;
-  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs, &stats);
+  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs);
   const double base_cost = runs[0].total_cost.value();
 
   io::Table table({"scheme", "knob", "normalized cost", "mean dist (km)"});
@@ -71,8 +70,6 @@ int main(int argc, char** argv) {
              io::format_number(r.mean_distance_km, 1)});
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("sweep: %zu runs over %zu engine(s)\n", stats.runs,
-              stats.engines_built);
   std::printf(
       "Reading: both knobs sweep the same frontier ends (closest-cluster to\n"
       "pure price chasing). At matched mean distance the soft penalty tends\n"

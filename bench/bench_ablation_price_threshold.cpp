@@ -1,8 +1,7 @@
 // Ablation: the $5/MWh price threshold (paper §6.1). tau = 0 chases
 // every differential (maximum churn); large tau ignores real savings.
 // Reports savings and a route-churn metric per threshold. All tau
-// points share one engine in the batched sweep (only the router config
-// changes).
+// points run in one batched sweep (only the router config changes).
 
 #include <vector>
 
@@ -33,8 +32,7 @@ int main(int argc, char** argv) {
                                       .price_threshold = UsdPerMwh{tau}};
     specs.push_back(s);
   }
-  core::SweepStats stats;
-  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs, &stats);
+  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs);
 
   io::Table table({"tau ($/MWh)", "savings (%)", "mean distance (km)"});
   io::CsvWriter csv(bench::csv_path("ablation_price_threshold"));
@@ -51,8 +49,6 @@ int main(int argc, char** argv) {
              io::format_number(r.optimized_mean_km, 1)});
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("sweep: %zu runs over %zu engine(s)\n", stats.runs,
-              stats.engines_built);
   std::printf(
       "Shape: savings are flat for small tau (the $5 threshold sacrifices\n"
       "almost nothing) and collapse once tau exceeds typical differentials -\n"

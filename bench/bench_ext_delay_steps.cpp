@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
   csv.header({"reaction_delay_min", "baseline_usd", "optimized_usd",
               "saved_pct"});
 
-  // One sweep: the baseline engine is shared by key, each delay cell
-  // gets its own (the delay is baked into the routing-price lookup).
+  // One sweep: the baseline, then one cell per reaction delay.
   std::vector<core::ScenarioSpec> cells;
   cells.push_back(baseline);
   const int delays[] = {12, 6, 3, 1};  // 60, 30, 15, 5 minutes

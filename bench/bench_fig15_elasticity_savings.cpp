@@ -2,8 +2,7 @@
 // price-conscious router vs the Akamai-like allocation, across energy
 // models (idle%, PUE), with and without the 95/5 bandwidth constraints,
 // at a 1500 km distance threshold. One batched sweep: per energy model,
-// a baseline run plus the two constrained variants (the relaxed runs
-// share the baseline's engine).
+// a baseline run plus the two constrained variants.
 
 #include <vector>
 

@@ -1,6 +1,6 @@
 // Fig 16: 24-day electricity cost vs distance threshold, (0% idle,
 // PUE 1.1), normalized to the Akamai-like allocation's cost. One batched
-// run_scenarios call; the relaxed runs share the baseline's engine.
+// run_scenarios call.
 
 #include <vector>
 

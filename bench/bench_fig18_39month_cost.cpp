@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::SweepStats stats;
-  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs, &stats);
+  const std::vector<core::RunResult> runs = core::run_scenarios(fx, specs);
   const double base_cost = runs[0].total_cost.value();
   const double static_cost = runs[1].total_cost.value();
 
@@ -69,8 +68,6 @@ int main(int argc, char** argv) {
   std::printf("Akamai-like routing = 1.000; only-use-cheapest-hub (static "
               "relocation) = %.3f.\n",
               static_cost / base_cost);
-  std::printf("sweep: %zu runs over %zu engines, %zu workload build(s)\n",
-              stats.runs, stats.engines_built, stats.workloads_built);
   std::printf(
       "Paper shape: 39-month savings exceed the 24-day ones; with relaxed\n"
       "constraints the dynamic solution (paper ~0.55) beats the static\n"

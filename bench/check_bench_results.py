@@ -30,8 +30,8 @@ Three checks, one hard and two soft:
   materialized_hours). Unlike wall time such counters are exact
   properties of the code path, so a measured value above the pinned one
   means the underlying machinery regressed - the hour-scoped plans
-  rebuild more often than the price cadence requires, a sweep stopped
-  sharing engines, etc. -> ::warning::.
+  rebuild more often than the price cadence requires, the lazy price
+  history materializes more hours than the run needs, etc. -> ::warning::.
 
 * Observability-overhead gate (soft): bench_perf_obs' BM_ObsOverhead
   reports the enabled/disabled wall-clock ratio of the metered 24-day

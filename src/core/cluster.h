@@ -25,8 +25,6 @@ struct Cluster {
   int servers = 0;
   HitsPerSec capacity;       ///< hard serving limit
   HitsPerSec p95_reference;  ///< baseline 95th percentile (95/5 cap)
-
-  friend bool operator==(const Cluster&, const Cluster&) = default;
 };
 
 /// Builds the nine clusters from baseline loads (capacity = observed

@@ -12,7 +12,6 @@
 #include "core/router_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/descriptive.h"
 #include "storage/storage_controller.h"
 
 namespace cebis::core {
@@ -45,19 +44,6 @@ std::unique_ptr<Workload> make_workload(const Fixture& f, const ScenarioSpec& sp
   }
   throw std::invalid_argument("make_workload: bad kind");
 }
-
-/// Everything the engine construction depends on. Two scenarios with
-/// equal keys (and no engine hooks) share one engine.
-struct EngineKey {
-  std::vector<Cluster> clusters;
-  bool enforce_p95 = true;
-  int delay_hours = 1;
-  int delay_steps = 0;
-  const market::PriceSet* prices = nullptr;
-  energy::EnergyModelParams energy;
-
-  friend bool operator==(const EngineKey&, const EngineKey&) = default;
-};
 
 }  // namespace
 
@@ -154,9 +140,9 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   // Materialize the union of the fixture-priced windows up front - one
   // union window per requested market resolution - so every spec in the
-  // sweep shares one PriceSet per resolution (maximal engine reuse) and
-  // short sweeps never build the full 39-month history. This runs before
-  // plan_run calls any factory, so it derives each window itself.
+  // sweep reads one PriceSet per resolution and short sweeps never build
+  // the full 39-month history. This runs before plan_run calls any
+  // factory, so it derives each window itself.
   std::map<int, const market::PriceSet*> fixture_prices;
   {
     std::map<int, Period> needs;
@@ -193,23 +179,19 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   // --- Plan phase (serial, spec order) --------------------------------------
   //
-  // Everything that can touch shared mutable state happens here:
-  // workload/engine construction, router factories (static-cheapest and
-  // the consolidated-cluster factory resolve Fixture::cheapest_cluster
+  // Everything that can touch shared mutable state or reject a spec
+  // happens here, so a bad spec fails the sweep before any cell runs:
+  // each cell's workload and engine, router factories (static-cheapest
+  // and the consolidated-cluster factory resolve Fixture::cheapest_cluster
   // at make-time, materializing study means lazily), observer wiring
   // decisions. After this phase every cell only reads immutable inputs.
 
-  // Workloads shared per (kind, synthetic window); engines per EngineKey.
-  std::map<std::pair<WorkloadKind, Period>, std::unique_ptr<Workload>> workloads;
-  std::vector<std::pair<EngineKey, std::unique_ptr<SimulationEngine>>> engines;
-  std::vector<std::unique_ptr<SimulationEngine>> private_engines;
-
-  /// One planned sweep cell: the engine/workload it shares (or owns),
-  /// its own router, and whether worker threads may run it.
+  /// One planned sweep cell: the engine, workload and router it owns,
+  /// and whether worker threads may run it.
   struct Cell {
     const ScenarioSpec* spec = nullptr;
-    const SimulationEngine* engine = nullptr;
-    const Workload* workload = nullptr;
+    std::unique_ptr<Workload> workload;
+    std::unique_ptr<SimulationEngine> engine;
     std::unique_ptr<Router> router;
     bool pool_safe = true;
   };
@@ -218,8 +200,6 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
     RunPlan plan = plan_run(fixture, spec, scenario_period(fixture, spec));
-    // Every engine in the sweep shares the caller's taps (the same
-    // pointers sweep-wide, so tap identity never splits an EngineKey).
     plan.engine.taps = options.taps;
     // Fixture-priced specs bill on the resolution the
     // market_interval_minutes knob selects.
@@ -228,46 +208,11 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
             ? *spec.routing_prices
             : *fixture_prices.at(market_samples_per_hour(spec));
 
-    const Period window = spec.workload == WorkloadKind::kSynthetic39Month
-                              ? synthetic_window_of(spec)
-                              : Period{0, 0};
-    auto wit = workloads.find({spec.workload, window});
-    if (wit == workloads.end()) {
-      wit = workloads
-                .emplace(std::make_pair(spec.workload, window),
-                         make_workload(fixture, spec))
-                .first;
-      ++local.workloads_built;
-    }
-
-    auto make_engine = [&] {
-      ++local.engines_built;
-      return std::make_unique<SimulationEngine>(
-          std::move(plan.clusters), prices, fixture.distances, plan.engine);
-    };
-
-    // Engine hooks are opaque std::functions - scenarios carrying them
-    // cannot prove key equality, so they get a private engine.
-    SimulationEngine* engine = nullptr;
-    if (spec.capacity_factor || spec.pue_of) {
-      private_engines.push_back(make_engine());
-      engine = private_engines.back().get();
-    } else {
-      EngineKey key{plan.clusters, plan.engine.enforce_p95, spec.delay_hours,
-                    spec.delay_steps, &prices, spec.energy};
-      auto found = std::find_if(engines.begin(), engines.end(),
-                                [&key](const auto& e) { return e.first == key; });
-      if (found == engines.end()) {
-        engines.emplace_back(std::move(key), make_engine());
-        found = std::prev(engines.end());
-      }
-      engine = found->second.get();
-    }
-
     Cell& cell = cells[i];
     cell.spec = &spec;
-    cell.engine = engine;
-    cell.workload = wit->second.get();
+    cell.workload = make_workload(fixture, spec);
+    cell.engine = std::make_unique<SimulationEngine>(
+        std::move(plan.clusters), prices, fixture.distances, plan.engine);
     cell.router = std::move(plan.router);
     // Caller-supplied std::function state (observers, engine hooks) may
     // not be thread-safe; those cells stay on the calling thread. The
@@ -292,23 +237,14 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
                "Price-set (re)generations incl. widenings and pinning")
         .set(static_cast<double>(fixture.price_history->generations()));
     metrics
-        .counter("cebis_sweep_engines_built_total",
-                 "Engines constructed by sweep plan phases")
-        .add(static_cast<double>(local.engines_built));
-    metrics
-        .counter("cebis_sweep_workloads_built_total",
-                 "Workloads constructed by sweep plan phases")
-        .add(static_cast<double>(local.workloads_built));
-    metrics
         .counter("cebis_sweep_cells_total", "Sweep cells executed")
         .add(static_cast<double>(specs.size()));
   }
 
   // --- Run phase (concurrent) -----------------------------------------------
   //
-  // SimulationEngine::run is const with run-local buffers, so cells
-  // sharing one engine are safe to run from multiple threads; each cell
-  // owns its router, its observers list and its result slot.
+  // Each cell owns its engine, workload, router, observers list and
+  // result slot, so cells never share mutable state.
 
   local.cell_wall_ms.assign(specs.size(), 0.0);
   auto run_cell = [&cells, &out, &options, &local, &ms_since](std::size_t i) {
@@ -365,7 +301,6 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
         [&](std::int64_t j) { run_cell(pooled[static_cast<std::size_t>(j)]); },
         options.taps.metrics != nullptr ? &worker_stats : nullptr);
   }
-  local.runs = specs.size();
   local.run_wall_ms = ms_since(run_t0);
   for (std::size_t i = 0; i < local.cell_wall_ms.size(); ++i) {
     if (local.cell_wall_ms[i] > local.cell_wall_ms[local.slowest_cell]) {

@@ -7,9 +7,8 @@
 // allocation, clusters and distance model), describe each run as a
 // ScenarioSpec (router name + config variant + workload + constraints,
 // see core/scenario.h), and execute them - singly via run_scenario or
-// as a batched sweep via run_scenarios, which reuses engines and
-// workloads across scenarios that share a (clusters, prices,
-// constraints, energy) key.
+// as a batched sweep via run_scenarios, which builds each scenario its
+// own engine and workload from one plan_run.
 //
 // Sweeps run their cells CONCURRENTLY (SweepOptions::threads, default
 // hardware_concurrency). run_scenarios is structured as a deterministic
@@ -100,12 +99,8 @@ struct Fixture {
       std::make_shared<std::atomic<std::int64_t>>(-1);
 };
 
-/// What a batched sweep actually constructed (the sweep contract: one
-/// engine/workload per distinct scenario key, not one per scenario).
+/// How a batched sweep was scheduled and how long its phases took.
 struct SweepStats {
-  std::size_t engines_built = 0;
-  std::size_t workloads_built = 0;
-  std::size_t runs = 0;
   /// Resolved pool width the run phase used (1 = fully serial).
   int threads_used = 1;
   /// Cells eligible for worker threads vs pinned to the calling thread
@@ -169,18 +164,17 @@ struct RunPlan {
 [[nodiscard]] RunResult run_scenario(const Fixture& fixture,
                                      const ScenarioSpec& spec);
 
-/// Runs a sweep, returning results in spec order. Workloads are built
-/// once per distinct (kind, window) and engines once per distinct
-/// (clusters, routing prices, constraints, delay, energy model) key;
-/// scenarios carrying engine hooks (capacity_factor / pue_of) get a
-/// private engine. Results are identical to calling run_scenario per
-/// spec - cells run concurrently (SweepOptions::threads) but land in a
-/// pre-sized vector indexed by spec position, and the plan phase
-/// (construction, lazy price materialization) stays serial, so output
-/// is independent of scheduling. A cell that throws mid-run stops the
-/// distribution of unstarted cells and rethrows after every in-flight
-/// cell completed (lowest throwing spec index wins). `stats`, when
-/// given, reports what was constructed and how the phase was scheduled.
+/// Runs a sweep, returning results in spec order. Every spec gets its
+/// own engine, workload and router, all built in the serial plan phase,
+/// so a spec that any of them rejects throws before any cell runs.
+/// Results are identical to calling run_scenario per spec - cells run
+/// concurrently (SweepOptions::threads) but land in a pre-sized vector
+/// indexed by spec position, and the plan phase (construction, lazy
+/// price materialization) stays serial, so output is independent of
+/// scheduling. A cell that throws mid-run stops the distribution of
+/// unstarted cells and rethrows after every in-flight cell completed
+/// (lowest throwing spec index wins). `stats`, when given, reports how
+/// the sweep was scheduled and timed.
 [[nodiscard]] std::vector<RunResult> run_scenarios(
     const Fixture& fixture, std::span<const ScenarioSpec> specs,
     const SweepOptions& options, SweepStats* stats = nullptr);

@@ -62,6 +62,7 @@ PriceAwareRouter::PriceAwareRouter(const geo::DistanceModel& distances,
   main_order_.resize(main_offset_.back());
   full_order_.resize(candidates_.size() * cluster_count_);
   full_epoch_.assign(candidates_.size(), -1);
+  strict_limit_.resize(cluster_count_);
 }
 
 void PriceAwareRouter::rebuild_orders(std::span<const double> price) {
@@ -116,40 +117,22 @@ std::span<const std::uint32_t> PriceAwareRouter::full_order_for(std::size_t stat
   return {full_order_.data() + state * cluster_count_, cluster_count_};
 }
 
-void PriceAwareRouter::refresh_limits(const RoutingContext& ctx) {
-  ++limit_refreshes_;
-  plan_capacity_.assign(ctx.capacity.begin(), ctx.capacity.end());
-  limits_have_p95_ = !ctx.p95_limit.empty();
-  strict_limit_.resize(cluster_count_);
-  if (limits_have_p95_) {
-    plan_p95_.assign(ctx.p95_limit.begin(), ctx.p95_limit.end());
-    for (std::size_t c = 0; c < cluster_count_; ++c) {
-      strict_limit_[c] = std::min(plan_capacity_[c], plan_p95_[c]);
-    }
-  } else {
-    plan_p95_.clear();
-    std::copy(plan_capacity_.begin(), plan_capacity_.end(), strict_limit_.begin());
-  }
-  limits_valid_ = true;
-}
-
 void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
   if (ctx.demand.size() != candidates_.size() ||
       ctx.price.size() != cluster_count_ || ctx.capacity.size() != cluster_count_) {
     throw std::invalid_argument("PriceAwareRouter::route: context size mismatch");
   }
 
-  // Refresh the hour-scoped plan only on actual input changes: the
-  // candidate orders when prices moved, the strict-limit snapshot when
-  // capacity factors or the 95/5 references moved. can_burst is read
-  // live below (it flips mid-hour as budgets exhaust), never cached.
+  // Re-sort the candidate orders only when prices moved. The limits
+  // (capacity factors and 95/5 references can move mid-hour) and
+  // can_burst (it flips as budgets exhaust) are read live every call.
   if (!plan_valid_ || !spans_equal(ctx.price, plan_price_)) {
     rebuild_orders(ctx.price);
   }
-  if (!limits_valid_ || limits_have_p95_ != !ctx.p95_limit.empty() ||
-      !spans_equal(ctx.capacity, plan_capacity_) ||
-      !spans_equal(ctx.p95_limit, plan_p95_)) {
-    refresh_limits(ctx);
+  for (std::size_t c = 0; c < cluster_count_; ++c) {
+    strict_limit_[c] = ctx.p95_limit.empty()
+                           ? ctx.capacity[c]
+                           : std::min(ctx.capacity[c], ctx.p95_limit[c]);
   }
 
   out.clear();

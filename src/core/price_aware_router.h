@@ -20,13 +20,14 @@
 // Hot-path architecture: prices change once per priced hour while trace
 // workloads route every 5 minutes, so the price-dependent work - the
 // per-state price-sorted candidate orders (with the nearest-preference
-// fix applied) and the strict-limit snapshot - is captured in an
-// hour-scoped *routing plan* that is rebuilt only when the routing
-// prices or the capacity/95-5 limits actually change, and replayed for
-// every sub-hourly step in between. Per-interval burst permission
-// (can_burst, which can flip mid-hour as budgets exhaust) is never
-// baked into the plan: burst filtering always reads the live context,
-// so a replayed plan stays exact across mid-hour budget exhaustion.
+// fix applied) - is captured in an hour-scoped *routing plan* that is
+// rebuilt only when the routing prices actually change, and replayed
+// for every sub-hourly step in between. Everything else is read from
+// the live context on every call: the strict per-cluster limits
+// (capacity, or the 95/5 reference below it) and burst permission
+// (can_burst, which can flip mid-hour as budgets exhaust), so a
+// replayed plan stays exact across mid-hour capacity drops and budget
+// exhaustion.
 
 #include <cstdint>
 #include <vector>
@@ -71,15 +72,9 @@ class PriceAwareRouter final : public Router {
   [[nodiscard]] std::int64_t plan_rebuilds() const noexcept {
     return plan_rebuilds_;
   }
-  /// How often the capacity/95-5 strict-limit snapshot was refreshed.
-  // cebis-lint: allow(unreferenced-api) fuzz tests count refreshes
-  [[nodiscard]] std::int64_t limit_refreshes() const noexcept {
-    return limit_refreshes_;
-  }
 
   [[nodiscard]] std::vector<RouterCounter> counters() const override {
-    return {{"plan_rebuilds", plan_rebuilds_},
-            {"limit_refreshes", limit_refreshes_}};
+    return {{"plan_rebuilds", plan_rebuilds_}};
   }
 
  private:
@@ -97,7 +92,7 @@ class PriceAwareRouter final : public Router {
   std::vector<StateCandidates> candidates_;
 
   // --- hour-scoped routing plan ---------------------------------------
-  // Price-keyed half: the per-state candidate orders. main_order_ holds
+  // The per-state candidate orders, keyed on price. main_order_ holds
   // each state's in-threshold candidates price-sorted (nearest
   // preference applied) at offset main_offset_[s]; full_order_ holds
   // complete price-sorted cluster lists (the phase-2 / genuine-peak
@@ -112,18 +107,11 @@ class PriceAwareRouter final : public Router {
   bool plan_valid_ = false;
   std::int64_t plan_rebuilds_ = 0;
 
-  // Limit-keyed half: min(capacity, p95) per cluster, refreshed when
-  // the capacity vector or the 95/5 references change (capacity factors
-  // from demand-response scenarios change it mid-run).
-  std::vector<double> plan_capacity_;
-  std::vector<double> plan_p95_;
+  // min(capacity, p95) per cluster (capacity alone when 95/5 is
+  // relaxed), recomputed at the top of every route() call.
   std::vector<double> strict_limit_;
-  bool limits_valid_ = false;
-  bool limits_have_p95_ = false;
-  std::int64_t limit_refreshes_ = 0;
 
   void rebuild_orders(std::span<const double> price);
-  void refresh_limits(const RoutingContext& ctx);
   /// The state's phase-2 order for the current plan, built on demand.
   [[nodiscard]] std::span<const std::uint32_t> full_order_for(std::size_t state);
 };

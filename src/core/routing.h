@@ -97,7 +97,7 @@ struct RoutingContext {
 }
 
 /// One named monotone counter a router exposes for observability (plan
-/// rebuilds, limit refreshes, ...). Values are cumulative since the
+/// rebuilds, ...). Values are cumulative since the
 /// router was constructed; names are stable snake_case identifiers.
 struct RouterCounter {
   std::string_view name;

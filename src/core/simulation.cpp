@@ -449,9 +449,9 @@ RunResult SimulationEngine::Session::State::finish() {
 
   m_runs.add();
   if (engine->config_.taps.metrics != nullptr) {
-    // The run's router-counter deltas (plan rebuilds, limit refreshes,
-    // ...), published generically via Router::counters() so every
-    // plan-carrying router is covered without downcasts.
+    // The run's router-counter deltas (plan rebuilds, ...), published
+    // generically via Router::counters() so every plan-carrying router
+    // is covered without downcasts.
     obs::MetricsRegistry& metrics = *engine->config_.taps.metrics;
     const obs::Labels labels{{"router", std::string(router->name())}};
     for (const RouterCounter& rc : router->counters()) {

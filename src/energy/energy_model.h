@@ -40,10 +40,6 @@ struct EnergyModelParams {
   [[nodiscard]] constexpr double idle_watts() const noexcept {
     return peak_watts * idle_fraction;
   }
-
-  /// Exact field-wise equality (scenario sweeps key engine reuse on it).
-  friend constexpr bool operator==(const EnergyModelParams&,
-                                   const EnergyModelParams&) = default;
 };
 
 class ClusterEnergyModel {

@@ -1,6 +1,7 @@
 #include "market/tick_assembler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,12 @@ void TickAssembler::add(HubId hub, std::int64_t interval, double price) {
         "TickAssembler::add: hub " + std::to_string(hub.index()) +
         " expected interval " + std::to_string(next) + ", got " +
         std::to_string(interval) + " (ticks must be gapless and in order)");
+  }
+  if (!std::isfinite(price)) {
+    throw std::invalid_argument("TickAssembler::add: hub " +
+                                std::to_string(hub.index()) + " interval " +
+                                std::to_string(interval) +
+                                " price is not finite");
   }
   const HourIndex hour = interval / samples_per_hour_;
   const int sub = static_cast<int>(interval - hour * samples_per_hour_);

@@ -16,9 +16,9 @@
 // the replay-equals-live contract (src/service/).
 //
 // Discipline: ticks must arrive per hub in strictly increasing interval
-// order with no gaps (the natural shape of a settlement stream), and
-// only for tracked hubs; anything else throws immediately rather than
-// leaving a silent hole the engine would later read as NaN.
+// order with no gaps (the natural shape of a settlement stream), only
+// for tracked hubs and with finite prices; anything else throws
+// immediately rather than leaving a NaN the engine would later read.
 
 #include <cstdint>
 #include <span>
@@ -44,8 +44,8 @@ class TickAssembler {
 
   /// Ingests one settlement: `interval` is the absolute native interval
   /// index, hour * samples_per_hour + sub. Throws std::invalid_argument
-  /// for an untracked hub, an interval outside the priced window, or an
-  /// out-of-order/duplicate interval for the hub.
+  /// for an untracked hub, an interval outside the priced window, an
+  /// out-of-order/duplicate interval for the hub, or a NaN/inf price.
   void add(HubId hub, std::int64_t interval, double price);
 
   /// One-past-the-last absolute interval priced by EVERY tracked hub

@@ -18,6 +18,12 @@ namespace {
 /// it without hurting liveness at feed rates.
 constexpr std::size_t kFlushBytes = 32u << 10;
 
+constexpr int kConnectTimeoutMs = 2000;
+/// Per-frame write deadline, and the read deadline on the FeedEnd ack
+/// (the server may still be advancing buffered steps).
+constexpr int kIoTimeoutMs = 10000;
+constexpr int kMaxBackoffMs = 2000;
+
 IngestStatusFrame read_status(FrameReader& reader, int timeout_ms) {
   const std::int64_t frame_offset = reader.offset();
   std::optional<Frame> frame = reader.next(timeout_ms);
@@ -87,18 +93,16 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
                      " attempts: " + e.what());
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+    backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
   };
   for (;;) {
     ++attempts;
     try {
-      Socket sock =
-          connect_to(options_.host, options_.port, options_.connect_timeout_ms);
+      Socket sock = connect_to(options_.host, options_.port, kConnectTimeoutMs);
       ++report.connections;
-      write_stream_header(sock, Channel::kIngest, options_.io_timeout_ms);
+      write_stream_header(sock, Channel::kIngest, kIoTimeoutMs);
       FrameReader reader(sock);
-      const IngestStatusFrame status =
-          read_status(reader, options_.io_timeout_ms);
+      const IngestStatusFrame status = read_status(reader, kIoTimeoutMs);
       if (status.complete) {
         // The previous connection's ack was lost after the session
         // finished; nothing left to send.
@@ -109,7 +113,7 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
         write_frame(sock,
                     static_cast<std::uint8_t>(service::RecordType::kSessionMeta),
                     service::encode_record(service::EventRecord{meta}),
-                    options_.io_timeout_ms);
+                    kIoTimeoutMs);
       }
       std::unordered_map<std::int32_t, std::int64_t> cursor;
       for (const IngestStatusFrame::HubCursor& c : status.cursors) {
@@ -140,15 +144,15 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
             buf, static_cast<std::uint8_t>(service::record_type(record)),
             service::encode_record(record));
         if (buf.size() >= kFlushBytes) {
-          sock.write_all(buf.data(), buf.size(), options_.io_timeout_ms);
+          sock.write_all(buf.data(), buf.size(), kIoTimeoutMs);
           buf.clear();
         }
       }
       service::append_frame(
           buf, static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
-      sock.write_all(buf.data(), buf.size(), options_.io_timeout_ms);
+      sock.write_all(buf.data(), buf.size(), kIoTimeoutMs);
 
-      const IngestStatusFrame ack = read_status(reader, options_.io_timeout_ms);
+      const IngestStatusFrame ack = read_status(reader, kIoTimeoutMs);
       if (!ack.complete) {
         throw NetError("server acked without completing the session (" +
                        std::to_string(ack.steps_done) + " steps advanced)");

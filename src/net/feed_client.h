@@ -7,18 +7,17 @@
 //
 // Reconnection is the client's job: on any connection or write
 // failure it backs off EXPONENTIALLY (initial_backoff_ms doubling to
-// max_backoff_ms), reconnects, and resumes from the server's
-// IngestStatus cursor - skipping ticks below each hub's next interval
-// and steps below steps_done + steps_buffered. The cursor makes the
-// retry idempotent: nothing is ever sent twice into the session, no
-// matter where the previous connection died.
+// 2 s), reconnects, and resumes from the server's IngestStatus cursor -
+// skipping ticks below each hub's next interval and steps below
+// steps_done + steps_buffered. The cursor makes the retry idempotent:
+// nothing is ever sent twice into the session, no matter where the
+// previous connection died.
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "obs/taps.h"
 #include "service/event_log.h"
 
 namespace cebis::net {
@@ -26,15 +25,9 @@ namespace cebis::net {
 struct FeedClientOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  int connect_timeout_ms = 2000;
-  /// Per-frame write deadline, and the read deadline on the FeedEnd
-  /// ack (the server may still be advancing buffered steps).
-  int io_timeout_ms = 10000;
   /// Total connection attempts before run() gives up.
   int max_attempts = 8;
   int initial_backoff_ms = 50;
-  int max_backoff_ms = 2000;
-  obs::Taps taps;
 };
 
 struct FeedReport {

@@ -15,6 +15,9 @@ namespace cebis::net {
 
 namespace {
 
+/// Pending connections the kernel queues before accept() picks them up.
+constexpr int kListenBacklog = 16;
+
 // strerror_r return-type dispatch: glibc with _GNU_SOURCE (which
 // libstdc++ defines) returns char*, XSI returns int. Overloads let the
 // same call site compile against either without feature-macro guesswork.
@@ -141,7 +144,7 @@ void Socket::write_all(const void* data, std::size_t size, int timeout_ms) {
 
 // --- Listener ---------------------------------------------------------------
 
-Listener::Listener(std::uint16_t port, int backlog) {
+Listener::Listener(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) raise_errno("socket");
   const int one = 1;
@@ -156,7 +159,7 @@ Listener::Listener(std::uint16_t port, int backlog) {
     fd_ = -1;
     raise_errno(msg);
   }
-  if (::listen(fd_, backlog) != 0) {
+  if (::listen(fd_, kListenBacklog) != 0) {
     ::close(fd_);
     fd_ = -1;
     raise_errno("listen");

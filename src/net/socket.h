@@ -77,7 +77,7 @@ class Socket {
 /// owner joins its accepting thread before destroying the listener.
 class Listener {
  public:
-  explicit Listener(std::uint16_t port, int backlog = 16);
+  explicit Listener(std::uint16_t port);
   ~Listener();
 
   Listener(const Listener&) = delete;

@@ -92,10 +92,10 @@ std::optional<Frame> FrameReader::next(int timeout_ms) {
             frame_type_name(type) + " frame",
         frame_offset);
   }
-  if (payload_len > max_payload_) {
+  if (payload_len > kMaxFramePayload) {
     throw WireError("oversized frame: " + std::to_string(payload_len) +
                         " byte payload exceeds the " +
-                        std::to_string(max_payload_) + " byte limit",
+                        std::to_string(kMaxFramePayload) + " byte limit",
                     frame_offset);
   }
   std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);

@@ -121,14 +121,15 @@ void write_stream_header(Socket& sock, Channel channel, int timeout_ms);
 void write_frame(Socket& sock, std::uint8_t type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms);
 
-/// Strict framed reader over a socket. Payloads above `max_payload`
+/// Largest frame payload a FrameReader accepts.
+inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
+
+/// Strict framed reader over a socket. Payloads above kMaxFramePayload
 /// are rejected before allocation (a torn length prefix must not look
 /// like a 4 GB frame).
 class FrameReader {
  public:
-  explicit FrameReader(Socket& sock,
-                       std::size_t max_payload = 16u << 20)
-      : sock_(sock), max_payload_(max_payload) {}
+  explicit FrameReader(Socket& sock) : sock_(sock) {}
 
   /// The next frame, or nullopt on orderly peer close at a frame
   /// boundary. Throws WireError (torn frame / CRC mismatch / oversized
@@ -140,7 +141,6 @@ class FrameReader {
 
  private:
   Socket& sock_;
-  std::size_t max_payload_;
   std::int64_t offset_ = 0;
 };
 

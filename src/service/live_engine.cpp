@@ -1,6 +1,7 @@
 #include "service/live_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -107,6 +108,13 @@ void PushWorkload::push(std::span<const double> demand) {
   }
   if (pushed() >= steps()) {
     throw std::invalid_argument("PushWorkload::push: workload already full");
+  }
+  for (std::size_t s = 0; s < state_count_; ++s) {
+    if (!std::isfinite(demand[s])) {
+      throw std::invalid_argument("PushWorkload::push: step " +
+                                  std::to_string(pushed()) + " state " +
+                                  std::to_string(s) + " demand is not finite");
+    }
   }
   data_.insert(data_.end(), demand.begin(), demand.end());
 }

@@ -53,8 +53,8 @@ class PushWorkload final : public core::Workload {
   PushWorkload(Period period, int steps_per_hour, std::size_t state_count);
 
   /// Appends the next step's per-state demand (size must equal
-  /// state_count; throws std::invalid_argument on shape errors or when
-  /// the workload is already fully fed).
+  /// state_count; throws std::invalid_argument on shape errors, a NaN/inf
+  /// entry, or when the workload is already fully fed).
   void push(std::span<const double> demand);
 
   [[nodiscard]] std::int64_t pushed() const noexcept {

@@ -23,9 +23,6 @@ namespace cebis::service {
 
 class RollingEstimators {
  public:
-  /// `ewma_alpha` is the weight of the newest sample in (0, 1].
-  explicit RollingEstimators(double ewma_alpha = 0.1);
-
   void add(double x);
 
   [[nodiscard]] std::int64_t count() const noexcept { return count_; }
@@ -35,11 +32,11 @@ class RollingEstimators {
   /// std::logic_error before the first sample.
   [[nodiscard]] double mean() const;
 
-  /// Exponentially weighted mean, seeded with the first sample.
+  /// Exponentially weighted mean, seeded with the first sample; the
+  /// newest sample weighs 0.1.
   [[nodiscard]] double ewma() const;
 
  private:
-  double alpha_;
   std::int64_t count_ = 0;
   double sum_ = 0.0;
   double ewma_ = 0.0;

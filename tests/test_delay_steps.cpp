@@ -8,9 +8,9 @@
 //     (reacting to the previous 5-minute settlement genuinely reroutes)
 //
 // plus the one delay function both the priced-window margin and the
-// engine's routing-price lookup read, the engine-level validation and
-// the sweep runner's engine-key separation (a delay_steps run may not
-// share a cached engine with a delay_hours run).
+// engine's routing-price lookup read, the engine-level validation (a
+// sweep rejects a bad cell before it runs any) and batched sweeps mixing
+// delays matching their solo runs.
 
 #include <gtest/gtest.h>
 
@@ -88,18 +88,16 @@ TEST_F(DelayStepsTest, OneStepDelayGenuinelyReroutes) {
   EXPECT_NEAR(stale.hit_hours, quick.hit_hours, test::kSumTol);
 }
 
-TEST_F(DelayStepsTest, SweepKeysDelayStepsEnginesSeparately) {
-  // run_scenarios must not hand a delay_steps=1 cell the cached engine
-  // of the delay_hours cell (the engine bakes the delay into its
-  // routing-price lookup).
+TEST_F(DelayStepsTest, SweepMatchesSoloRunsAcrossDelaySteps) {
+  // A sweep mixing a delay_hours cell with delay_steps cells: each cell
+  // routes on its own delay (the engine bakes it into its routing-price
+  // lookup), exactly as it would run alone.
   ScenarioSpec stale = five_minute_spec();
   ScenarioSpec fresh = five_minute_spec();
   fresh.delay_steps = 1;
 
-  SweepStats stats;
   const ScenarioSpec sweep[] = {stale, fresh, fresh};
-  const auto runs = run_scenarios(*fixture_, sweep, &stats);
-  EXPECT_EQ(stats.engines_built, 2u);  // one per delay, shared within
+  const auto runs = run_scenarios(*fixture_, sweep);
   EXPECT_TRUE(same_bits(runs[0].total_cost.value(),
                         run_scenario(*fixture_, stale).total_cost.value()));
   EXPECT_TRUE(same_bits(runs[1].total_cost.value(),
@@ -145,11 +143,29 @@ TEST(RoutingDelay, FoldsBothKnobsIntoNativeIntervalsAndHourMargins) {
   }
 }
 
+/// Counts the runs it saw begin.
+struct RunBeginCounter final : StepObserver {
+  int begun = 0;
+  void on_run_begin(const RunInfo&, std::span<const Cluster>) override {
+    ++begun;
+  }
+  void on_step(const StepView&) override {}
+};
+
 TEST_F(DelayStepsTest, ValidatesTheConfiguration) {
   // Negative lag is meaningless.
   ScenarioSpec spec = five_minute_spec();
   spec.delay_steps = -1;
   EXPECT_THROW((void)run_scenario(*fixture_, spec), std::invalid_argument);
+
+  // A sweep validates every cell before it runs any: the valid first
+  // cell never begins.
+  RunBeginCounter counter;
+  ScenarioSpec valid = five_minute_spec();
+  valid.observers = {&counter};
+  const ScenarioSpec sweep[] = {valid, spec};
+  EXPECT_THROW((void)run_scenarios(*fixture_, sweep), std::invalid_argument);
+  EXPECT_EQ(counter.begun, 0);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -280,11 +281,11 @@ TEST(NetWireTest, FrameReaderRejectsOversizedPayloadBeforeAllocating) {
   SocketPair pair;
   std::vector<std::uint8_t> bytes = {static_cast<std::uint8_t>(
       NetFrameType::kTelemetry)};
-  const std::uint32_t huge = 0x7fffffff;
+  const std::uint32_t huge = kMaxFramePayload + 1;
   bytes.resize(1 + sizeof(huge));
   std::memcpy(bytes.data() + 1, &huge, sizeof(huge));
   pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
-  FrameReader reader(pair.server, /*max_payload=*/4096);
+  FrameReader reader(pair.server);
   EXPECT_THROW((void)reader.next(kIoMs), WireError);
 }
 
@@ -315,7 +316,6 @@ TEST(NetWireTest, FeedClientGivesUpAfterMaxAttempts) {
   }  // closed: connections to it are refused
   FeedClientOptions options;
   options.port = dead_port;
-  options.connect_timeout_ms = 200;
   options.max_attempts = 2;
   options.initial_backoff_ms = 10;
   FeedClient client(options);
@@ -660,17 +660,27 @@ TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
         service::PriceTickRecord{feed.ticks[0].hub, start + 1, 31.0}});
     EXPECT_TRUE(feeder.server_closed());
   }
+  {
+    // A NaN settlement at the expected interval, as the first frame of
+    // a resumed connection (the session is already open).
+    RawFeeder feeder(harness.server().ingest_port());
+    EXPECT_TRUE(feeder.status.has_session);
+    feeder.send(service::EventRecord{service::PriceTickRecord{
+        feed.ticks[0].hub, start, std::numeric_limits<double>::quiet_NaN()}});
+    EXPECT_TRUE(feeder.server_closed());
+  }
 
   FeedClientOptions client_options;
   client_options.port = harness.server().ingest_port();
   FeedClient client(client_options);
   const FeedReport sent = client.run(feed.meta, feed.ticks, feed.steps);
-  EXPECT_EQ(sent.records_skipped, 0);  // the bad tick never took effect
+  EXPECT_EQ(sent.records_skipped, 0);  // neither bad tick took effect
 
   const ServerReport report = harness.join();
   ASSERT_TRUE(report.result.has_value());
-  EXPECT_GE(report.protocol_errors, 1);
+  EXPECT_EQ(report.protocol_errors, 2);
   EXPECT_TRUE(protocol_error_at(report, tick_at));
+  EXPECT_TRUE(protocol_error_at(report, 0));
   const core::RunResult replayed =
       service::replay_file(*fixture_, server_log.path());
   EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "core/experiment.h"
 #include "core/observers.h"
 #include "core/router_registry.h"
+#include "market/tick_assembler.h"
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "service/replay.h"
@@ -332,6 +335,83 @@ TEST_F(ReplayEqualsLive, PushWorkloadGuardsItsShape) {
   workload.push(row);
   workload.push(row);
   EXPECT_THROW(workload.push(row), std::invalid_argument);  // full
+}
+
+// One NaN settlement or demand entry would turn the whole RunResult to
+// NaN (and break the router's price ordering), so ingest refuses it.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST_F(ReplayEqualsLive, TickAssemblerRejectsNonFinitePrices) {
+  const HubId hub{2};
+  market::TickAssembler assembler(Period{10, 12}, 1, 4, {hub});
+  for (const double price : kNonFinite) {
+    try {
+      assembler.add(hub, 10, price);
+      ADD_FAILURE() << price << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("hub 2 interval 10"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(assembler.ticks(), 0);
+  EXPECT_EQ(assembler.sealed_end(), 10);
+  assembler.add(hub, 10, -12.5);  // negative prices stay legal
+  EXPECT_EQ(assembler.sealed_end(), 11);
+}
+
+TEST_F(ReplayEqualsLive, PushWorkloadRejectsNonFiniteDemand) {
+  PushWorkload workload(Period{0, 1}, 4, 3);
+  for (const double bad : kNonFinite) {
+    try {
+      workload.push(std::vector<double>{1.0, bad, 3.0});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("step 0 state 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(workload.pushed(), 0);
+  workload.push(std::vector<double>{1.0, -2.0, 3.0});
+  EXPECT_EQ(workload.pushed(), 1);
+}
+
+TEST_F(ReplayEqualsLive, NonFiniteInputIsRejectedBeforeItIsLogged) {
+  test::TempFile log_file("live_non_finite.eventlog");
+  LiveConfig config;
+  config.period = window_of(*fixture_, 2);
+  config.shadow_baseline = false;
+  std::size_t ticks_sent = 0;
+  {
+    EventLogWriter log(log_file.path());
+    LiveEngine live(*fixture_, config, &log);
+    const std::span<const HubId> hubs = live.tracked_hubs();
+    EXPECT_THROW(live.on_price_tick(hubs.front(), live.sealed_end(),
+                                    kNonFinite[0]),
+                 std::invalid_argument);
+    while (live.sealed_end() < live.needed_end()) {
+      const std::int64_t interval = live.sealed_end();
+      for (const HubId hub : hubs) {
+        live.on_price_tick(hub, interval, 30.0);
+        ++ticks_sent;
+      }
+    }
+    std::vector<double> demand(live.state_count(), 1.0);
+    demand[3] = kNonFinite[0];
+    EXPECT_THROW(live.advance(demand), std::invalid_argument);
+    EXPECT_EQ(live.steps_done(), 0);
+    demand[3] = 1.0;
+    live.advance(demand);
+    EXPECT_EQ(live.steps_done(), 1);
+    log.close();
+  }
+  const RecordedSession logged = read_session(log_file.path());
+  EXPECT_EQ(logged.ticks.size(), ticks_sent);
+  ASSERT_EQ(logged.steps.size(), 1u);
+  EXPECT_EQ(logged.steps[0].demand[3], 1.0);
 }
 
 }  // namespace

@@ -262,17 +262,14 @@ TEST_F(StorageScenarioTest, ZeroCapacityMetersRawEqualsNet) {
               run.total_cost.value() * 1e-9);
 }
 
-TEST_F(StorageScenarioTest, SweepWithStorageMatchesSoloRunsAndSharesEngines) {
+TEST_F(StorageScenarioTest, SweepWithStorageMatchesSoloRuns) {
   const core::ScenarioSpec with_storage = storage_spec();
   core::ScenarioSpec plain = with_storage;
   plain.router = "price-aware";
   plain.storage.reset();
 
-  core::SweepStats stats;
   const core::ScenarioSpec specs[] = {plain, with_storage, plain};
-  const auto runs = core::run_scenarios(*fixture_, specs, &stats);
-  // The storage observer does not fragment the engine cache.
-  EXPECT_EQ(stats.engines_built, 1u);
+  const auto runs = core::run_scenarios(*fixture_, specs);
   EXPECT_EQ(runs[0].total_cost.value(), runs[1].total_cost.value());
   EXPECT_EQ(runs[0].total_cost.value(), runs[2].total_cost.value());
   EXPECT_TRUE(runs[1].storage.engaged);
