@@ -160,9 +160,11 @@ void BM_Synthetic39MonthSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_Synthetic39MonthSimulation)->Unit(benchmark::kMillisecond);
 
-// A fig16-style batched threshold sweep: run_scenarios shares one
-// engine/workload across all points, versus rebuilding per run_scenario
-// call. The items are simulated trace hours across the whole sweep.
+// A fig16-style threshold sweep: one run_scenarios call over all points
+// (Arg 1; every cell builds its own engine and workload, and the default
+// options fan the cells out over the worker pool), versus one
+// run_scenario call per point (Arg 0). The items are simulated trace
+// hours across the whole sweep.
 void BM_BatchedThresholdSweep(benchmark::State& state) {
   const core::Fixture& fx = fixture();
   std::vector<core::ScenarioSpec> specs;

@@ -1,6 +1,7 @@
 #include "core/price_aware_router.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace cebis::core {
@@ -17,8 +18,11 @@ PriceAwareRouter::PriceAwareRouter(const geo::DistanceModel& distances,
     throw std::invalid_argument("PriceAwareRouter: negative distance threshold");
   }
 
-  candidates_.reserve(distances.state_count());
-  for (std::size_t s = 0; s < distances.state_count(); ++s) {
+  const std::size_t states = distances.state_count();
+  candidates_.reserve(states);
+  dist_pos_.resize(states * cluster_count_);
+  std::vector<double> distance_km(cluster_count_);
+  for (std::size_t s = 0; s < states; ++s) {
     const StateId state{static_cast<std::int32_t>(s)};
     StateCandidates sc;
     sc.by_distance.resize(cluster_count_);
@@ -27,22 +31,23 @@ PriceAwareRouter::PriceAwareRouter(const geo::DistanceModel& distances,
               [&](std::size_t a, std::size_t b) {
                 return distances.distance(state, a) < distances.distance(state, b);
               });
-    sc.distance_km.reserve(cluster_count_);
-    for (std::size_t c : sc.by_distance) {
-      sc.distance_km.push_back(distances.distance(state, c).value());
+    for (std::size_t i = 0; i < cluster_count_; ++i) {
+      distance_km[i] = distances.distance(state, sc.by_distance[i]).value();
+      dist_pos_[s * cluster_count_ + sc.by_distance[i]] =
+          static_cast<std::uint32_t>(i);
     }
     // Candidate set: clusters within the threshold; if none, the closest
     // cluster plus anything within nearby_slack of it.
     std::size_t within = 0;
     while (within < cluster_count_ &&
-           sc.distance_km[within] <= config_.distance_threshold.value()) {
+           distance_km[within] <= config_.distance_threshold.value()) {
       ++within;
     }
     if (within == 0) {
-      const double anchor = sc.distance_km[0];
+      const double anchor = distance_km[0];
       within = 1;
       while (within < cluster_count_ &&
-             sc.distance_km[within] <= anchor + config_.nearby_slack.value()) {
+             distance_km[within] <= anchor + config_.nearby_slack.value()) {
         ++within;
       }
     }
@@ -52,48 +57,81 @@ PriceAwareRouter::PriceAwareRouter(const geo::DistanceModel& distances,
 
   // Plan layout: each state's in-threshold candidates are a contiguous
   // slice of main_order_, every state's full cluster order a fixed-width
-  // row of full_order_.
-  main_offset_.resize(candidates_.size() + 1);
+  // row of full_order_. main_order_ carries one slot past the last
+  // slice, because fill_order() writes a cluster before it decides to
+  // keep it.
+  main_offset_.resize(states + 1);
   main_offset_[0] = 0;
-  for (std::size_t s = 0; s < candidates_.size(); ++s) {
+  for (std::size_t s = 0; s < states; ++s) {
     main_offset_[s + 1] = main_offset_[s] +
                           static_cast<std::uint32_t>(candidates_[s].within_threshold);
   }
-  main_order_.resize(main_offset_.back());
-  full_order_.resize(candidates_.size() * cluster_count_);
-  full_epoch_.assign(candidates_.size(), -1);
+  main_order_.resize(main_offset_.back() + 1);
+  full_order_.resize(states * cluster_count_);
+  full_epoch_.assign(states, -1);
+  price_rank_.resize(cluster_count_);
   strict_limit_.resize(cluster_count_);
+  leftovers_.reserve(states);
+}
+
+void PriceAwareRouter::fill_order(std::size_t state, std::size_t count,
+                                  std::uint32_t* out) const {
+  const std::uint32_t* pos = dist_pos_.data() + state * cluster_count_;
+  // Walk the price ranking and keep the state's first `count` clusters
+  // by distance. Every cluster is written and the cursor advances only
+  // past a kept one, so the filter has no data-dependent branch.
+  std::size_t n = 0;
+  for (const std::uint32_t c : price_rank_) {
+    out[n] = c;
+    n += static_cast<std::size_t>(pos[c] < count);
+  }
+  if (!rank_has_ties_) return;
+  // Equal prices: closer first, the order a stable sort of the distance
+  // order by price leaves them in.
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint32_t c = out[i];
+    std::size_t j = i;
+    while (j > 0 && plan_price_[out[j - 1]] == plan_price_[c] &&
+           pos[out[j - 1]] > pos[c]) {
+      out[j] = out[j - 1];
+      --j;
+    }
+    out[j] = c;
+  }
 }
 
 void PriceAwareRouter::rebuild_orders(std::span<const double> price) {
   plan_price_.assign(price.begin(), price.end());
   ++plan_rebuilds_;
+  // Rank the clusters by price once; every state's order is a filter of
+  // this ranking.
   const auto by_price = [this](std::uint32_t a, std::uint32_t b) {
     return plan_price_[a] < plan_price_[b];
   };
+  const auto tied = [this](std::uint32_t a, std::uint32_t b) {
+    return plan_price_[a] == plan_price_[b];
+  };
+  const auto first = price_rank_.begin();
+  const auto last = price_rank_.end();
+  std::iota(first, last, std::uint32_t{0});
+  std::sort(first, last, by_price);
+  rank_has_ties_ = std::adjacent_find(first, last, tied) != last;
+
   for (std::size_t s = 0; s < candidates_.size(); ++s) {
     const StateCandidates& sc = candidates_[s];
     const std::size_t n = sc.within_threshold;
-
-    // Order candidates by price (ties: closer first). by_distance is
-    // already distance-sorted, so a stable sort on price keeps the
-    // distance tie-break.
-    const auto main_begin =
-        main_order_.begin() + static_cast<std::ptrdiff_t>(main_offset_[s]);
-    const auto main_end = main_begin + static_cast<std::ptrdiff_t>(n);
-    std::copy(sc.by_distance.begin(),
-              sc.by_distance.begin() + static_cast<std::ptrdiff_t>(n), main_begin);
-    std::stable_sort(main_begin, main_end, by_price);
+    std::uint32_t* const main = main_order_.data() + main_offset_[s];
+    fill_order(s, n, main);
 
     // Price threshold: if the cheapest candidate saves less than tau
     // against the *nearest* candidate, prefer the nearest (distance is
     // the default objective; tiny differentials are ignored).
     const auto nearest = static_cast<std::uint32_t>(sc.by_distance.front());
-    if (plan_price_[nearest] - plan_price_[*main_begin] <
+    if (plan_price_[nearest] - plan_price_[main[0]] <
         config_.price_threshold.value()) {
-      const auto it = std::find(main_begin, main_end, nearest);
-      if (it != main_begin && it != main_end) {
-        std::rotate(main_begin, it, it + 1);  // move nearest to the front
+      std::uint32_t* const it = std::find(main, main + n, nearest);
+      if (it != main && it != main + n) {
+        std::rotate(main, it, it + 1);  // move nearest to the front
       }
     }
   }
@@ -101,20 +139,14 @@ void PriceAwareRouter::rebuild_orders(std::span<const double> price) {
 }
 
 std::span<const std::uint32_t> PriceAwareRouter::full_order_for(std::size_t state) {
-  // Phase-2 order: every cluster, price-sorted with the same distance
-  // tie-break. Built at most once per state per plan epoch.
-  const auto begin =
-      full_order_.begin() + static_cast<std::ptrdiff_t>(state * cluster_count_);
+  // Phase-2 order: every cluster, in the same price order with the same
+  // distance tie-break. Built at most once per state per plan epoch.
+  std::uint32_t* const row = full_order_.data() + state * cluster_count_;
   if (full_epoch_[state] != plan_rebuilds_) {
     full_epoch_[state] = plan_rebuilds_;
-    const StateCandidates& sc = candidates_[state];
-    std::copy(sc.by_distance.begin(), sc.by_distance.end(), begin);
-    std::stable_sort(begin, begin + static_cast<std::ptrdiff_t>(cluster_count_),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return plan_price_[a] < plan_price_[b];
-                     });
+    fill_order(state, cluster_count_, row);
   }
-  return {full_order_.data() + state * cluster_count_, cluster_count_};
+  return {row, cluster_count_};
 }
 
 void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
@@ -123,7 +155,7 @@ void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
     throw std::invalid_argument("PriceAwareRouter::route: context size mismatch");
   }
 
-  // Re-sort the candidate orders only when prices moved. The limits
+  // Rebuild the candidate orders only when prices moved. The limits
   // (capacity factors and 95/5 references can move mid-hour) and
   // can_burst (it flips as budgets exhaust) are read live every call.
   if (!plan_valid_ || !spans_equal(ctx.price, plan_price_)) {
@@ -143,11 +175,7 @@ void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
   // percentiles at or below their baseline references: clusters exceed
   // the reference in at most the ~5% of intervals where total demand
   // genuinely requires it, never because cheap power attracted traffic.
-  struct Leftover {
-    std::size_t state;
-    double amount;
-  };
-  std::vector<Leftover> leftovers;
+  leftovers_.clear();
 
   for (std::size_t s = 0; s < candidates_.size(); ++s) {
     double remaining = ctx.demand[s];
@@ -214,14 +242,14 @@ void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
       }
     }
 
-    if (remaining > 0.0) leftovers.push_back(Leftover{s, remaining});
+    if (remaining > 0.0) leftovers_.push_back(Leftover{s, remaining});
   }
 
   // Phase 2: the strictly-limited system is full - this is a genuine
   // demand peak. Spend burst budget, cheapest burstable cluster first,
   // then fall back to raw capacity, and finally overload the closest
   // cluster (the engine counts that as an overflow).
-  for (auto& [s, remaining] : leftovers) {
+  for (auto& [s, remaining] : leftovers_) {
     const StateCandidates& sc = candidates_[s];
     if (!ctx.p95_limit.empty() && !ctx.can_burst.empty()) {
       for (const std::uint32_t c : full_order_for(s)) {

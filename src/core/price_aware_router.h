@@ -19,15 +19,18 @@
 //
 // Hot-path architecture: prices change once per priced hour while trace
 // workloads route every 5 minutes, so the price-dependent work - the
-// per-state price-sorted candidate orders (with the nearest-preference
+// per-state price-ordered candidate lists (with the nearest-preference
 // fix applied) - is captured in an hour-scoped *routing plan* that is
 // rebuilt only when the routing prices actually change, and replayed
-// for every sub-hourly step in between. Everything else is read from
-// the live context on every call: the strict per-cluster limits
-// (capacity, or the 95/5 reference below it) and burst permission
-// (can_burst, which can flip mid-hour as budgets exhaust), so a
-// replayed plan stays exact across mid-hour capacity drops and budget
-// exhaustion.
+// for every sub-hourly step in between. A rebuild ranks the clusters by
+// price once and derives each state's order by filtering that ranking
+// down to the state's candidates, equal prices closer first; nothing is
+// sorted per state, and no rebuild after the first allocates (pinned in
+// tests/test_alloc_free.cpp). Everything else is read from the live
+// context on every call: the strict per-cluster limits (capacity, or
+// the 95/5 reference below it) and burst permission (can_burst, which
+// can flip mid-hour as budgets exhaust), so a replayed plan stays exact
+// across mid-hour capacity drops and budget exhaustion.
 
 #include <cstdint>
 #include <vector>
@@ -65,8 +68,9 @@ class PriceAwareRouter final : public Router {
 
   [[nodiscard]] const PriceAwareConfig& config() const noexcept { return config_; }
 
-  /// How often route() had to re-sort the candidate orders because the
-  /// routing prices changed (once per priced hour on a healthy trace
+  /// How often route() had to rebuild the plan - re-rank the clusters by
+  /// price and re-filter each state's orders from that ranking - because
+  /// the routing prices changed (once per priced hour on a healthy trace
   /// run; once per step if every interval reprices). Observability for
   /// the plan-replay benchmarks and tests.
   [[nodiscard]] std::int64_t plan_rebuilds() const noexcept {
@@ -82,24 +86,31 @@ class PriceAwareRouter final : public Router {
   std::size_t cluster_count_;
   const traffic::BaselineAllocation* fallback_ = nullptr;
 
-  // Per-state cluster ids sorted by distance, with the parallel
-  // distances, and how many of them fall inside the threshold.
+  // Per-state cluster ids sorted by distance, and how many of them fall
+  // inside the threshold.
   struct StateCandidates {
     std::vector<std::size_t> by_distance;
-    std::vector<double> distance_km;
     std::size_t within_threshold = 0;
   };
   std::vector<StateCandidates> candidates_;
+  // Each cluster's position in each state's distance order, at
+  // s * cluster_count_ + c: a state's candidates are the clusters whose
+  // position is below within_threshold, and it breaks price ties.
+  std::vector<std::uint32_t> dist_pos_;
 
   // --- hour-scoped routing plan ---------------------------------------
-  // The per-state candidate orders, keyed on price. main_order_ holds
-  // each state's in-threshold candidates price-sorted (nearest
+  // price_rank_ holds every cluster ordered by plan_price_ (the order
+  // within a run of equal prices is arbitrary; rank_has_ties_ says
+  // whether there is one). Each state's orders filter that ranking:
+  // main_order_ holds the state's in-threshold candidates (nearest
   // preference applied) at offset main_offset_[s]; full_order_ holds
-  // complete price-sorted cluster lists (the phase-2 / genuine-peak
-  // order) at s * cluster_count_, filled lazily per state - genuine
-  // peaks are rare, so most plans never sort them (full_epoch_[s]
-  // records the plan epoch a state's row was built for).
+  // every cluster (the phase-2 / genuine-peak order) at
+  // s * cluster_count_, filled lazily per state - genuine peaks are
+  // rare, so most plans never build them (full_epoch_[s] records the
+  // plan epoch a state's row was built for).
   std::vector<double> plan_price_;
+  std::vector<std::uint32_t> price_rank_;
+  bool rank_has_ties_ = false;
   std::vector<std::uint32_t> main_order_;
   std::vector<std::uint32_t> main_offset_;  // size states + 1
   std::vector<std::uint32_t> full_order_;
@@ -111,7 +122,21 @@ class PriceAwareRouter final : public Router {
   // relaxed), recomputed at the top of every route() call.
   std::vector<double> strict_limit_;
 
+  // Demand the strictly-limited pass could not place, per state;
+  // route()'s scratch, reserved for every state so a call never
+  // allocates.
+  struct Leftover {
+    std::size_t state;
+    double amount;
+  };
+  std::vector<Leftover> leftovers_;
+
   void rebuild_orders(std::span<const double> price);
+  /// Writes `state`'s clusters whose distance position is below `count`
+  /// to `out` in plan order: by price, equal prices closer first. `out`
+  /// must have room for count + 1 entries when count < cluster_count_.
+  void fill_order(std::size_t state, std::size_t count,
+                  std::uint32_t* out) const;
   /// The state's phase-2 order for the current plan, built on demand.
   [[nodiscard]] std::span<const std::uint32_t> full_order_for(std::size_t state);
 };

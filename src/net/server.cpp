@@ -271,6 +271,9 @@ struct Server::Impl {
                             std::to_string(expected),
                         frame_offset);
       }
+      // Reject a malformed step here, naming this frame: once buffered,
+      // the resume cursor counts it as delivered.
+      service::check_demand_step(step->demand, live->state_count(), step->step);
       pending.push_back(step->demand);
       ++report.steps_ingested;
       pump();

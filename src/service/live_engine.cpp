@@ -83,6 +83,23 @@ class DecisionCapture final : public core::StepObserver {
 
 // --- PushWorkload -----------------------------------------------------------
 
+void check_demand_step(std::span<const double> demand, std::size_t state_count,
+                       std::int64_t step) {
+  if (demand.size() != state_count) {
+    throw std::invalid_argument("demand step " + std::to_string(step) +
+                                ": size " + std::to_string(demand.size()) +
+                                " != " + std::to_string(state_count) +
+                                " states");
+  }
+  for (std::size_t s = 0; s < state_count; ++s) {
+    if (!std::isfinite(demand[s])) {
+      throw std::invalid_argument("demand step " + std::to_string(step) +
+                                  " state " + std::to_string(s) +
+                                  " is not finite");
+    }
+  }
+}
+
 PushWorkload::PushWorkload(Period period, int steps_per_hour,
                            std::size_t state_count)
     : period_(period),
@@ -101,20 +118,9 @@ PushWorkload::PushWorkload(Period period, int steps_per_hour,
 }
 
 void PushWorkload::push(std::span<const double> demand) {
-  if (demand.size() != state_count_) {
-    throw std::invalid_argument("PushWorkload::push: demand size " +
-                                std::to_string(demand.size()) + " != " +
-                                std::to_string(state_count_) + " states");
-  }
+  check_demand_step(demand, state_count_, pushed());
   if (pushed() >= steps()) {
     throw std::invalid_argument("PushWorkload::push: workload already full");
-  }
-  for (std::size_t s = 0; s < state_count_; ++s) {
-    if (!std::isfinite(demand[s])) {
-      throw std::invalid_argument("PushWorkload::push: step " +
-                                  std::to_string(pushed()) + " state " +
-                                  std::to_string(s) + " demand is not finite");
-    }
   }
   data_.insert(data_.end(), demand.begin(), demand.end());
 }

@@ -44,6 +44,13 @@
 
 namespace cebis::service {
 
+/// Throws std::invalid_argument unless `demand` is one accounting step
+/// of demand for `state_count` states: exactly that many entries, each
+/// finite. `step` names the step in the message. PushWorkload::push runs
+/// it, and so does the net server when a step arrives, before buffering.
+void check_demand_step(std::span<const double> demand, std::size_t state_count,
+                       std::int64_t step);
+
 /// A Workload fed one step at a time: the live loop push()es demand as
 /// it arrives, the replay path push()es every recorded step up front.
 /// demand() serves only pushed steps (throws std::out_of_range beyond
@@ -52,9 +59,9 @@ class PushWorkload final : public core::Workload {
  public:
   PushWorkload(Period period, int steps_per_hour, std::size_t state_count);
 
-  /// Appends the next step's per-state demand (size must equal
-  /// state_count; throws std::invalid_argument on shape errors, a NaN/inf
-  /// entry, or when the workload is already fully fed).
+  /// Appends the next step's per-state demand (throws
+  /// std::invalid_argument where check_demand_step does, or when the
+  /// workload is already fully fed).
   void push(std::span<const double> demand);
 
   [[nodiscard]] std::int64_t pushed() const noexcept {

@@ -7,10 +7,10 @@
 //     in-process one: the event log the server writes is BYTE-IDENTICAL
 //     to the log an in-process LiveEngine writes over the same feed,
 //     and replay-equals-live extends over the socket;
-//   - protocol defects (CRC corruption, out-of-order ticks, records
-//     before SessionMeta) close the connection but never the session -
-//     a reconnecting FeedClient resumes from the status cursor and
-//     completes;
+//   - protocol defects (CRC corruption, out-of-order ticks, malformed
+//     workload steps, records before SessionMeta) close the connection
+//     but never the session - a reconnecting FeedClient resumes from
+//     the status cursor and completes;
 //   - subscribers cannot perturb the tick loop: a slow client hits the
 //     drop-oldest policy without stalling publish(), killed clients
 //     are reaped, and the decision stream with 8 subscribers (some
@@ -681,6 +681,51 @@ TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
   EXPECT_EQ(report.protocol_errors, 2);
   EXPECT_TRUE(protocol_error_at(report, tick_at));
   EXPECT_TRUE(protocol_error_at(report, 0));
+  const core::RunResult replayed =
+      service::replay_file(*fixture_, server_log.path());
+  EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");
+}
+
+TEST_F(NetLoopbackTest, BadWorkloadStepIsRejectedAtItsOwnFrame) {
+  test::TempFile server_log("net_bad_step.eventlog");
+  const SessionFeed feed = make_feed(*fixture_, 2);
+  ServerHarness harness(loopback_options(server_log.path()));
+
+  // The bad step's frame starts right after the meta frame.
+  std::vector<std::uint8_t> meta_frame;
+  service::append_frame(
+      meta_frame, static_cast<std::uint8_t>(service::RecordType::kSessionMeta),
+      service::encode_record(service::EventRecord{feed.meta}));
+  const auto step_at = static_cast<std::int64_t>(meta_frame.size());
+  {
+    // Step 0 with a NaN entry arrives before any tick has sealed its
+    // prices, so only a check on arrival can catch it.
+    RawFeeder feeder(harness.server().ingest_port());
+    feeder.send(service::EventRecord{feed.meta});
+    service::WorkloadStepRecord bad = feed.steps[0];
+    bad.demand[0] = std::numeric_limits<double>::quiet_NaN();
+    feeder.send(service::EventRecord{bad});
+    EXPECT_TRUE(feeder.server_closed());
+  }
+
+  // The cursor did not count the bad step, so the resumed feed sends
+  // the good step 0 and the session completes.
+  FeedClientOptions client_options;
+  client_options.port = harness.server().ingest_port();
+  client_options.max_attempts = 2;  // a stuck session fails fast
+  FeedClient client(client_options);
+  FeedReport sent;
+  EXPECT_NO_THROW(sent = client.run(feed.meta, feed.ticks, feed.steps));
+  EXPECT_EQ(sent.records_skipped, 0);
+  EXPECT_EQ(sent.final_steps_done,
+            static_cast<std::int64_t>(feed.steps.size()));
+
+  const ServerReport report = harness.stop_and_join();
+  ASSERT_TRUE(report.result.has_value());
+  EXPECT_EQ(report.protocol_errors, 1);
+  EXPECT_TRUE(protocol_error_at(report, step_at));
+  EXPECT_EQ(report.steps_ingested,
+            static_cast<std::int64_t>(feed.steps.size()));
   const core::RunResult replayed =
       service::replay_file(*fixture_, server_log.path());
   EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");
