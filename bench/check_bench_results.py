@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate for the perf/figure baselines pinned in BENCH_perf.json.
 
-Three checks, one hard and two soft:
+Four checks, one hard and three soft:
 
 * Figure gate (hard): the rows each gated figure bench
   (bench_ext_battery_arbitrage, bench_ext_five_minute_market,
@@ -17,10 +17,10 @@ Three checks, one hard and two soft:
   libm ulp differences between the host that pinned the baselines and
   the CI runner - the repo's only cross-host float comparison.
 
-* Timing gate (soft): every google-benchmark entry of bench_perf_router
-  / bench_perf_market / bench_perf_service is compared against its
-  pinned real_time. A
-  regression beyond --threshold (default 1.25x) emits a GitHub
+* Timing gate (soft): every pinned google-benchmark entry of
+  bench_perf_router / bench_perf_market / bench_perf_service /
+  bench_perf_obs / bench_perf_net is compared against its pinned
+  real_time. A regression beyond --threshold (default 1.25x) emits a GitHub
   ::warning:: annotation but never fails the job - CI runners are far
   too noisy for hard timing gates; the annotation is the paper trail.
 

@@ -11,6 +11,7 @@
 #include "net/subscriber_hub.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/live_engine.h"
 
 namespace cebis::net {
@@ -144,6 +145,8 @@ struct Server::Impl {
 
   /// Publishes the just-advanced step's frames to the subscribers.
   void publish_step() {
+    const obs::Tracer::Span span =
+        obs::maybe_span(options.taps.tracer, "net/publish", "net");
     const std::int64_t done = live->steps_done();
     service::RoutingDecisionRecord decision;
     decision.step = done - 1;
@@ -202,7 +205,7 @@ struct Server::Impl {
     for (;;) {
       if (stopping.load(std::memory_order_relaxed)) return false;
       const std::int64_t frame_offset = reader.offset();
-      std::optional<Frame> frame = reader.next(options.read_timeout_ms);
+      std::optional<Frame> frame = read_frame(reader);
       if (!frame) {
         event("feeder disconnected at byte offset " +
               std::to_string(frame_offset));
@@ -217,6 +220,13 @@ struct Server::Impl {
         throw WireError(e.what(), frame_offset);
       }
     }
+  }
+
+  /// The next ingest frame, read and CRC-checked.
+  std::optional<Frame> read_frame(FrameReader& reader) {
+    const obs::Tracer::Span span =
+        obs::maybe_span(options.taps.tracer, "net/read_frame", "net");
+    return reader.next(options.read_timeout_ms);
   }
 
   /// Applies one ingest frame; true when it completed the feed.
@@ -243,8 +253,11 @@ struct Server::Impl {
             " steps, " + std::to_string(report.ticks_ingested) + " ticks");
       return true;
     }
-    const service::EventRecord record = service::decode_record(
-        frame.type, frame.payload, frame_offset);
+    service::EventRecord record = [&] {
+      const obs::Tracer::Span span =
+          obs::maybe_span(options.taps.tracer, "net/decode", "net");
+      return service::decode_record(frame.type, frame.payload, frame_offset);
+    }();
     if (const auto* meta = std::get_if<service::SessionMeta>(&record)) {
       if (live != nullptr) {
         throw WireError("SessionMeta on an already-open session", frame_offset);
@@ -258,8 +271,7 @@ struct Server::Impl {
       live->on_price_tick(tick->hub, tick->interval, tick->price);
       ++report.ticks_ingested;
       pump();
-    } else if (const auto* step =
-                   std::get_if<service::WorkloadStepRecord>(&record)) {
+    } else if (auto* step = std::get_if<service::WorkloadStepRecord>(&record)) {
       if (live == nullptr) {
         throw WireError("WorkloadStep before SessionMeta", frame_offset);
       }
@@ -274,7 +286,7 @@ struct Server::Impl {
       // Reject a malformed step here, naming this frame: once buffered,
       // the resume cursor counts it as delivered.
       service::check_demand_step(step->demand, live->state_count(), step->step);
-      pending.push_back(step->demand);
+      pending.push_back(std::move(step->demand));
       ++report.steps_ingested;
       pump();
     } else {

@@ -16,6 +16,9 @@ using service::codec::put_f64;
 constexpr std::size_t kStreamHeaderSize =
     sizeof(kNetMagic) + sizeof(std::uint32_t) + 1;
 
+/// A frame's type byte and length prefix.
+constexpr std::size_t kFrameHeaderSize = 1 + sizeof(std::uint32_t);
+
 }  // namespace
 
 const char* frame_type_name(std::uint8_t type) {
@@ -73,63 +76,78 @@ void write_frame(Socket& sock, std::uint8_t type,
   sock.write_all(buf.data(), buf.size(), timeout_ms);
 }
 
+FrameReader::FrameReader(Socket& sock) : sock_(sock), buf_(kReadBufferSize) {}
+
+/// Reads until `want` bytes of the current frame are buffered; false
+/// when the peer closes first. A socket failure after the frame's first
+/// byte counts as a close (the caller reports the torn frame); one at a
+/// frame boundary, and any timeout, propagates.
+bool FrameReader::fill(std::size_t want, int timeout_ms) {
+  if (end_ - begin_ >= want) return true;
+  // Move the partial frame to the front, so one read can refill the
+  // rest of the buffer.
+  if (begin_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (buf_.size() < want) buf_.resize(want);  // a frame above kReadBufferSize
+  while (end_ < want) {
+    std::size_t n = 0;
+    try {
+      n = sock_.read_some(buf_.data() + end_, buf_.size() - end_, timeout_ms);
+    } catch (const TimeoutError&) {
+      throw;
+    } catch (const NetError&) {
+      if (end_ == 0) throw;
+    }
+    if (n == 0) return false;
+    end_ += n;
+  }
+  return true;
+}
+
 std::optional<Frame> FrameReader::next(int timeout_ms) {
   const std::int64_t frame_offset = offset_;
-  std::uint8_t type = 0;
-  if (!sock_.read_exact(&type, 1, timeout_ms)) {
-    return std::nullopt;  // orderly close exactly on a frame boundary
-  }
-  std::uint32_t payload_len = 0;
-  try {
-    if (!sock_.read_exact(&payload_len, sizeof(payload_len), timeout_ms)) {
-      throw NetError("peer closed");
+  if (!fill(kFrameHeaderSize, timeout_ms)) {
+    if (end_ == begin_) {
+      return std::nullopt;  // orderly close exactly on a frame boundary
     }
-  } catch (const TimeoutError&) {
-    throw;
-  } catch (const NetError&) {
     throw WireError(
         std::string("torn frame: stream ended inside the header of a ") +
-            frame_type_name(type) + " frame",
+            frame_type_name(buf_[begin_]) + " frame",
         frame_offset);
   }
+  const std::uint8_t type = buf_[begin_];
+  std::uint32_t payload_len = 0;
+  std::memcpy(&payload_len, buf_.data() + begin_ + 1, sizeof(payload_len));
+  // Checked before fill() grows the buffer to the frame's size.
   if (payload_len > kMaxFramePayload) {
     throw WireError("oversized frame: " + std::to_string(payload_len) +
                         " byte payload exceeds the " +
                         std::to_string(kMaxFramePayload) + " byte limit",
                     frame_offset);
   }
-  std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);
-  buf[0] = type;
-  std::memcpy(buf.data() + 1, &payload_len, sizeof(payload_len));
-  std::uint32_t stored_crc = 0;
-  try {
-    if (payload_len > 0 &&
-        !sock_.read_exact(buf.data() + 1 + sizeof(payload_len), payload_len,
-                          timeout_ms)) {
-      throw NetError("peer closed");
-    }
-    if (!sock_.read_exact(&stored_crc, sizeof(stored_crc), timeout_ms)) {
-      throw NetError("peer closed");
-    }
-  } catch (const TimeoutError&) {
-    throw;
-  } catch (const NetError&) {
-    throw WireError(
-        std::string("torn frame: stream ended inside a ") +
-            frame_type_name(type) + " frame",
-        frame_offset);
+  const std::size_t crc_at = kFrameHeaderSize + payload_len;
+  const std::size_t frame_size = crc_at + sizeof(std::uint32_t);
+  if (!fill(frame_size, timeout_ms)) {
+    throw WireError(std::string("torn frame: stream ended inside a ") +
+                        frame_type_name(type) + " frame",
+                    frame_offset);
   }
-  const std::uint32_t computed = service::crc32(buf.data(), buf.size());
-  if (computed != stored_crc) {
+  const std::uint8_t* bytes = buf_.data() + begin_;
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes + crc_at, sizeof(stored_crc));
+  if (service::crc32(bytes, crc_at) != stored_crc) {
     throw WireError(std::string("CRC mismatch in a ") +
                         frame_type_name(type) + " frame",
                     frame_offset);
   }
-  offset_ =
-      frame_offset + static_cast<std::int64_t>(buf.size() + sizeof(stored_crc));
   Frame frame;
   frame.type = type;
-  frame.payload.assign(buf.begin() + 1 + sizeof(payload_len), buf.end());
+  frame.payload.assign(bytes + kFrameHeaderSize, bytes + crc_at);
+  begin_ += frame_size;
+  offset_ = frame_offset + static_cast<std::int64_t>(frame_size);
   return frame;
 }
 

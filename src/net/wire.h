@@ -22,6 +22,7 @@
 // the byte offset into the stream where the offending frame began -
 // the server logs it and closes the connection, never resynchronizes.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -123,24 +124,44 @@ void write_frame(Socket& sock, std::uint8_t type,
 
 /// Largest frame payload a FrameReader accepts.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
+/// A FrameReader's receive buffer, in bytes.
+inline constexpr std::size_t kReadBufferSize = 64u << 10;
 
-/// Strict framed reader over a socket. Payloads above kMaxFramePayload
-/// are rejected before allocation (a torn length prefix must not look
-/// like a 4 GB frame).
+/// Strict framed reader over a socket.
+///
+/// It buffers: one read_some fills up to kReadBufferSize bytes, and
+/// frames are then cut, length-checked and CRC-checked in place, so a
+/// stream of small frames costs one poll + recv per buffer refill
+/// rather than several per frame. Because bytes past the current frame
+/// may already sit in its buffer, the reader owns the socket's read
+/// side once constructed: read nothing else from `sock` afterwards
+/// (read the stream header first).
+///
+/// A frame's length prefix is checked against kMaxFramePayload before
+/// the buffer grows to fit it (a torn length prefix must not look like
+/// a 4 GB frame); the buffer grows only for a single frame larger than
+/// kReadBufferSize, and never past kMaxFramePayload plus the frame's
+/// 9 framing bytes.
 class FrameReader {
  public:
-  explicit FrameReader(Socket& sock) : sock_(sock) {}
+  explicit FrameReader(Socket& sock);
 
   /// The next frame, or nullopt on orderly peer close at a frame
-  /// boundary. Throws WireError (torn frame / CRC mismatch / oversized
-  /// payload), TimeoutError when `timeout_ms` passes mid-frame.
+  /// boundary (nothing buffered). Throws WireError (torn frame / CRC
+  /// mismatch / oversized payload), TimeoutError when `timeout_ms`
+  /// passes before the frame is whole.
   [[nodiscard]] std::optional<Frame> next(int timeout_ms);
 
   /// Byte offset the next frame starts at (stream header excluded).
   [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
 
  private:
+  bool fill(std::size_t want, int timeout_ms);
+
   Socket& sock_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t begin_ = 0;  ///< first byte of the next frame in buf_
+  std::size_t end_ = 0;    ///< one past the last byte read into buf_
   std::int64_t offset_ = 0;
 };
 

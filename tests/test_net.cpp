@@ -2,11 +2,12 @@
 //
 //   - the wire codec round-trips and the strict FrameReader rejects
 //     torn, corrupt and oversized frames with byte-offset provenance
-//     (mirroring the event log's reader discipline);
+//     (mirroring the event log's reader discipline), reading the same
+//     frames however the stream is chunked into writes;
 //   - a full socket-fed session is indistinguishable from an
 //     in-process one: the event log the server writes is BYTE-IDENTICAL
 //     to the log an in-process LiveEngine writes over the same feed,
-//     and replay-equals-live extends over the socket;
+//     and replay-equals-live extends over the socket, traced or not;
 //   - protocol defects (CRC corruption, out-of-order ticks, malformed
 //     workload steps, records before SessionMeta) close the connection
 //     but never the session - a reconnecting FeedClient resumes from
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -48,6 +50,7 @@
 #include "net/subscriber_hub.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "service/replay.h"
@@ -295,6 +298,165 @@ TEST(NetWireTest, FrameReaderTimesOutMidFrame) {
   pair.client.write_all(&type, 1, kIoMs);  // ...and then silence
   FrameReader reader(pair.server);
   EXPECT_THROW((void)reader.next(100), TimeoutError);
+}
+
+/// Frames as a feeder sends them: a SessionMeta, price ticks, a 51-state
+/// WorkloadStep, one step larger than the reader's receive buffer, more
+/// ticks and an empty FeedEnd.
+std::vector<Frame> mixed_frames() {
+  std::vector<Frame> frames;
+  const auto add = [&](const service::EventRecord& record) {
+    const auto type = static_cast<std::uint8_t>(service::record_type(record));
+    frames.push_back({type, service::encode_record(record)});
+  };
+  service::SessionMeta meta;
+  meta.period = {24, 48};
+  meta.n_states = 51;
+  add(meta);
+  stats::Rng rng = test::test_rng(7);
+  const auto add_ticks = [&](std::int64_t from, std::int64_t to) {
+    for (std::int64_t interval = from; interval < to; ++interval) {
+      const HubId hub{static_cast<std::int32_t>(interval % 9)};
+      add(service::PriceTickRecord{hub, interval, rng.uniform(10.0, 90.0)});
+    }
+  };
+  add_ticks(0, 40);
+  service::WorkloadStepRecord step{0, std::vector<double>(51)};
+  for (double& d : step.demand) d = rng.uniform(0.0, 5000.0);
+  add(step);
+  const std::size_t large = kReadBufferSize / sizeof(double) + 100;
+  add(service::WorkloadStepRecord{1, std::vector<double>(large, 1.5)});
+  add_ticks(40, 80);
+  frames.push_back({static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {}});
+  return frames;
+}
+
+std::vector<std::uint8_t> stream_of(const std::vector<Frame>& frames) {
+  std::vector<std::uint8_t> bytes;
+  for (const Frame& f : frames) service::append_frame(bytes, f.type, f.payload);
+  return bytes;
+}
+
+/// The type byte, length prefix and CRC around each frame's payload.
+constexpr std::size_t kFramingBytes = 9;
+
+/// Reads every frame of `want` back with the same type, payload and
+/// offset(), then the peer's clean close.
+void expect_frames(FrameReader& reader, const std::vector<Frame>& want) {
+  std::int64_t offset = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::optional<Frame> got = reader.next(kIoMs);
+    ASSERT_TRUE(got.has_value()) << "frame " << i << " of " << want.size();
+    EXPECT_EQ(got->type, want[i].type) << "frame " << i;
+    EXPECT_EQ(got->payload, want[i].payload) << "frame " << i;
+    offset += static_cast<std::int64_t>(kFramingBytes + want[i].payload.size());
+    EXPECT_EQ(reader.offset(), offset) << "frame " << i;
+  }
+  EXPECT_FALSE(reader.next(kIoMs).has_value());
+}
+
+TEST(NetWireTest, FrameReaderReadsTheSameFramesHoweverTheStreamIsChunked) {
+  const std::vector<Frame> frames = mixed_frames();
+  const std::vector<std::uint8_t> bytes = stream_of(frames);
+  ASSERT_GT(bytes.size(), kReadBufferSize);
+
+  // The write sizes: the whole stream at once, one byte at a time, and
+  // seeded random chunks.
+  std::vector<std::vector<std::size_t>> plans(3);
+  plans[0] = {bytes.size()};
+  plans[1].assign(bytes.size(), 1);
+  stats::Rng rng = test::test_rng(8);
+  for (std::size_t left = bytes.size(); left > 0;) {
+    const auto chunk = static_cast<std::size_t>(rng.uniform(1.0, 9000.0));
+    plans[2].push_back(std::min(left, chunk));
+    left -= plans[2].back();
+  }
+  for (const std::vector<std::size_t>& plan : plans) {
+    SCOPED_TRACE(std::to_string(plan.size()) + " writes");
+    SocketPair pair;
+    std::thread writer([&] {
+      try {
+        std::size_t at = 0;
+        for (const std::size_t n : plan) {
+          pair.client.write_all(bytes.data() + at, n, kIoMs);
+          at += n;
+        }
+      } catch (const NetError& e) {
+        ADD_FAILURE() << "writer: " << e.what();
+      }
+      pair.client.close();
+    });
+    FrameReader reader(pair.server);
+    expect_frames(reader, frames);
+    pair.server.close();  // a reader that stopped early unblocks the writer
+    writer.join();
+  }
+}
+
+TEST(NetWireTest, FrameReaderHandsOutBufferedFramesAfterPeerClose) {
+  // The stream and the close both arrive before the first read: every
+  // frame comes back before the close does.
+  std::vector<Frame> frames = mixed_frames();
+  std::erase_if(frames, [](const Frame& f) {
+    return f.payload.size() > kReadBufferSize;
+  });
+  const std::vector<std::uint8_t> bytes = stream_of(frames);
+  SocketPair pair;
+  pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
+  pair.client.close();
+  FrameReader reader(pair.server);
+  expect_frames(reader, frames);
+}
+
+TEST(NetWireTest, FrameReaderNamesTheBadFrameBehindWholeOnes) {
+  // Three whole frames, then a bad fourth in the same write: the three
+  // read back, and the error names the offset where the fourth began.
+  const std::vector<Frame> frames = mixed_frames();
+  std::vector<std::uint8_t> head;
+  for (int i = 0; i < 3; ++i) {
+    service::append_frame(head, frames[i].type, frames[i].payload);
+  }
+  std::vector<std::uint8_t> tick;
+  service::append_frame(tick, frames[3].type, frames[3].payload);
+
+  std::vector<std::uint8_t> bad_crc = tick;
+  bad_crc.back() ^= 0x01;
+  std::vector<std::uint8_t> oversized(tick.begin(), tick.begin() + 5);
+  const std::uint32_t huge = kMaxFramePayload + 1;
+  std::memcpy(oversized.data() + 1, &huge, sizeof(huge));
+  const std::vector<std::uint8_t> torn_header(tick.begin(), tick.begin() + 3);
+  const std::vector<std::uint8_t> torn_body(tick.begin(), tick.end() - 2);
+  const struct {
+    const std::vector<std::uint8_t>& tail;
+    const char* message;
+  } cases[] = {
+      {bad_crc, "CRC mismatch in a PriceTick frame"},
+      {oversized, "oversized frame"},
+      {torn_header, "stream ended inside the header of a PriceTick frame"},
+      {torn_body, "stream ended inside a PriceTick frame"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    std::vector<std::uint8_t> bytes = head;
+    bytes.insert(bytes.end(), c.tail.begin(), c.tail.end());
+    SocketPair pair;
+    pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
+    pair.client.close();
+    FrameReader reader(pair.server);
+    for (int i = 0; i < 3; ++i) {
+      const std::optional<Frame> frame = reader.next(kIoMs);
+      ASSERT_TRUE(frame.has_value());
+      EXPECT_EQ(frame->payload, frames[i].payload);
+    }
+    try {
+      (void)reader.next(kIoMs);
+      FAIL() << "the fourth frame must not read back";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.byte_offset(), static_cast<std::int64_t>(head.size()));
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NetWireTest, StreamHeaderRejectsForeignBytes) {
@@ -584,6 +746,56 @@ TEST_F(NetLoopbackTest, SocketFedSessionMatchesInProcessByteForByte) {
   const core::RunResult replayed =
       service::replay_file(*fixture_, server_log.path());
   EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");
+}
+
+/// How many spans named `name` a trace holds.
+std::size_t span_count(const obs::Tracer& tracer, const std::string& name) {
+  const std::string json = tracer.json();
+  const std::string key = "{\"name\":\"" + name + "\"";
+  std::size_t count = 0;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(NetLoopbackTest, TracedServerSpansEachFrameAndStep) {
+  test::TempFile traced_log("net_traced.eventlog");
+  test::TempFile plain_log("net_untraced.eventlog");
+  const SessionFeed feed = make_feed(*fixture_, 2);
+  const auto serve_feed = [&](const std::string& log_path,
+                              obs::Tracer* tracer) {
+    ServerOptions options = loopback_options(log_path);
+    options.fixture = fixture_;
+    options.taps.tracer = tracer;
+    ServerHarness harness(options);
+    FeedClientOptions client_options;
+    client_options.port = harness.server().ingest_port();
+    FeedClient client(client_options);
+    const FeedReport sent = client.run(feed.meta, feed.ticks, feed.steps);
+    EXPECT_EQ(sent.connections, 1);
+    return harness.join();
+  };
+  obs::Tracer tracer;
+  const ServerReport traced = serve_feed(traced_log.path(), &tracer);
+  const ServerReport plain = serve_feed(plain_log.path(), nullptr);
+  ASSERT_TRUE(traced.result.has_value());
+  ASSERT_TRUE(plain.result.has_value());
+
+  // One read per frame fed: the SessionMeta, every tick and step, and
+  // the FeedEnd; one decode per record; one publish per advanced step.
+  const std::size_t records = 1 + feed.ticks.size() + feed.steps.size();
+  EXPECT_EQ(span_count(tracer, "net/read_frame"), records + 1);
+  EXPECT_EQ(span_count(tracer, "net/decode"), records);
+  EXPECT_EQ(span_count(tracer, "net/publish"), feed.steps.size());
+  EXPECT_EQ(span_count(tracer, "live/advance"), feed.steps.size());
+
+  // Tracing only observes: the log is the untraced session's, byte for
+  // byte.
+  EXPECT_EQ(service::diff_run_results(*traced.result, *plain.result), "");
+  EXPECT_EQ(test::slurp(traced_log.path()), test::slurp(plain_log.path()));
+  EXPECT_FALSE(test::slurp(traced_log.path()).empty());
 }
 
 TEST_F(NetLoopbackTest, CorruptFrameClosesConnectionButSessionSurvives) {
