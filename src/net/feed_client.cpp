@@ -8,6 +8,7 @@
 
 #include "net/socket.h"
 #include "net/wire.h"
+#include "service/codec.h"
 
 namespace cebis::net {
 
@@ -38,19 +39,18 @@ IngestStatusFrame read_status(FrameReader& reader, int timeout_ms) {
   return decode_ingest_status(frame->payload, frame_offset);
 }
 
-}  // namespace
-
-std::vector<service::EventRecord> interleave_feed(
-    const service::SessionMeta& meta,
-    std::span<const service::PriceTickRecord> ticks,
-    std::span<const service::WorkloadStepRecord> steps) {
+/// Calls on_tick / on_step on every tick and step, by reference, in the
+/// order interleave_feed() lists them.
+template <typename OnTick, typename OnStep>
+void for_each_in_feed_order(const service::SessionMeta& meta,
+                            std::span<const service::PriceTickRecord> ticks,
+                            std::span<const service::WorkloadStepRecord> steps,
+                            OnTick&& on_tick, OnStep&& on_step) {
   // End times compared on the common grid of both cadences:
   //   tick i ends at (i + 1) / samples_per_hour hours
   //   step j ends at period.begin + (j + 1) / steps_per_hour hours
   const std::int64_t sph_p = meta.samples_per_hour;
   const std::int64_t sph_w = meta.steps_per_hour;
-  std::vector<service::EventRecord> plan;
-  plan.reserve(ticks.size() + steps.size());
   std::size_t ti = 0;
   std::size_t si = 0;
   while (ti < ticks.size() || si < steps.size()) {
@@ -68,11 +68,23 @@ std::vector<service::EventRecord> interleave_feed(
       take_tick = tick_key <= step_key;  // tie: the tick seals first
     }
     if (take_tick) {
-      plan.emplace_back(ticks[ti++]);
+      on_tick(ticks[ti++]);
     } else {
-      plan.emplace_back(steps[si++]);
+      on_step(steps[si++]);
     }
   }
+}
+
+}  // namespace
+
+std::vector<service::EventRecord> interleave_feed(
+    const service::SessionMeta& meta,
+    std::span<const service::PriceTickRecord> ticks,
+    std::span<const service::WorkloadStepRecord> steps) {
+  std::vector<service::EventRecord> plan;
+  plan.reserve(ticks.size() + steps.size());
+  const auto add = [&plan](const auto& record) { plan.emplace_back(record); };
+  for_each_in_feed_order(meta, ticks, steps, add, add);
   return plan;
 }
 
@@ -82,8 +94,6 @@ FeedClient::FeedClient(FeedClientOptions options)
 FeedReport FeedClient::run(const service::SessionMeta& meta,
                            std::span<const service::PriceTickRecord> ticks,
                            std::span<const service::WorkloadStepRecord> steps) {
-  const std::vector<service::EventRecord> plan =
-      interleave_feed(meta, ticks, steps);
   FeedReport report;
   int attempts = 0;
   int backoff_ms = options_.initial_backoff_ms;
@@ -109,11 +119,10 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
         report.final_steps_done = status.steps_done;
         return report;
       }
+      buf_.clear();
       if (!status.has_session) {
-        write_frame(sock,
-                    static_cast<std::uint8_t>(service::RecordType::kSessionMeta),
-                    service::encode_record(service::EventRecord{meta}),
-                    kIoTimeoutMs);
+        service::codec::frame_record(buf_, service::RecordType::kSessionMeta,
+                                     meta);
       }
       std::unordered_map<std::int32_t, std::int64_t> cursor;
       for (const IngestStatusFrame::HubCursor& c : status.cursors) {
@@ -122,35 +131,36 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
       const std::int64_t steps_covered =
           status.steps_done + status.steps_buffered;
 
-      std::vector<std::uint8_t> buf;
-      for (const service::EventRecord& record : plan) {
-        bool skip = false;
-        if (const auto* tick =
-                std::get_if<service::PriceTickRecord>(&record)) {
-          const auto it = cursor.find(
-              static_cast<std::int32_t>(tick->hub.value()));
-          skip = it != cursor.end() && tick->interval < it->second;
-          if (!skip) ++report.ticks_sent;
-        } else if (const auto* step =
-                       std::get_if<service::WorkloadStepRecord>(&record)) {
-          skip = step->step < steps_covered;
-          if (!skip) ++report.steps_sent;
+      const auto send = [&](service::RecordType type, const auto& record) {
+        service::codec::frame_record(buf_, type, record);
+        if (buf_.size() >= kFlushBytes) {
+          sock.write_all(buf_.data(), buf_.size(), kIoTimeoutMs);
+          buf_.clear();
         }
-        if (skip) {
-          ++report.records_skipped;
-          continue;
-        }
-        service::append_frame(
-            buf, static_cast<std::uint8_t>(service::record_type(record)),
-            service::encode_record(record));
-        if (buf.size() >= kFlushBytes) {
-          sock.write_all(buf.data(), buf.size(), kIoTimeoutMs);
-          buf.clear();
-        }
-      }
+      };
+      for_each_in_feed_order(
+          meta, ticks, steps,
+          [&](const service::PriceTickRecord& tick) {
+            const auto it =
+                cursor.find(static_cast<std::int32_t>(tick.hub.value()));
+            if (it != cursor.end() && tick.interval < it->second) {
+              ++report.records_skipped;
+              return;
+            }
+            ++report.ticks_sent;
+            send(service::RecordType::kPriceTick, tick);
+          },
+          [&](const service::WorkloadStepRecord& step) {
+            if (step.step < steps_covered) {
+              ++report.records_skipped;
+              return;
+            }
+            ++report.steps_sent;
+            send(service::RecordType::kWorkloadStep, step);
+          });
       service::append_frame(
-          buf, static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
-      sock.write_all(buf.data(), buf.size(), kIoTimeoutMs);
+          buf_, static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
+      sock.write_all(buf_.data(), buf_.size(), kIoTimeoutMs);
 
       const IngestStatusFrame ack = read_status(reader, kIoTimeoutMs);
       if (!ack.complete) {

@@ -56,6 +56,9 @@ class FeedClient {
 
  private:
   FeedClientOptions options_;
+  /// Frames waiting to be sent, encoded in place and reused across
+  /// flushes and reconnects.
+  std::vector<std::uint8_t> buf_;
 };
 
 /// The feed order run() sends: ticks and steps merged chronologically

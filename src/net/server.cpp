@@ -40,6 +40,11 @@ struct Server::Impl {
   bool finished = false;
   ServerReport report;
 
+  // The publish path's reused scratch: each step's decision record and
+  // the payload buffer every per-step frame is encoded into.
+  service::RoutingDecisionRecord decision;
+  std::vector<std::uint8_t> payload;
+
   obs::Counter m_connections;
   obs::Counter m_frames;
   obs::Counter m_protocol_errors;
@@ -148,12 +153,13 @@ struct Server::Impl {
     const obs::Tracer::Span span =
         obs::maybe_span(options.taps.tracer, "net/publish", "net");
     const std::int64_t done = live->steps_done();
-    service::RoutingDecisionRecord decision;
     decision.step = done - 1;
     const std::span<const double> load = live->last_cluster_load();
     decision.cluster_load.assign(load.begin(), load.end());
+    payload.clear();
+    service::encode_record(payload, decision);
     hub.publish(static_cast<std::uint8_t>(service::RecordType::kRoutingDecision),
-                service::encode_record(service::EventRecord{decision}));
+                payload);
 
     const service::LiveTelemetry& tel = live->telemetry();
     TelemetryFrame t;
@@ -170,15 +176,18 @@ struct Server::Impl {
       t.savings_ewma = tel.savings_usd_per_step.ewma();
     }
     t.plan_rebuilds = tel.plan_rebuilds;
-    hub.publish(static_cast<std::uint8_t>(NetFrameType::kTelemetry),
-                encode_telemetry(t));
+    payload.clear();
+    encode_telemetry(payload, t);
+    hub.publish(static_cast<std::uint8_t>(NetFrameType::kTelemetry), payload);
 
     SealHeadroomFrame s;
     s.sealed_end = live->sealed_end();
     s.needed_end = live->done() ? s.sealed_end : live->needed_end();
     s.steps_done = done;
+    payload.clear();
+    encode_seal_headroom(payload, s);
     hub.publish(static_cast<std::uint8_t>(NetFrameType::kSealHeadroom),
-                encode_seal_headroom(s));
+                payload);
   }
 
   /// Advances every buffered step whose prices are sealed.

@@ -153,15 +153,15 @@ std::uint16_t SubscriberHub::port() const noexcept {
 }
 
 void SubscriberHub::publish(std::uint8_t type,
-                            const std::vector<std::uint8_t>& payload) {
-  auto frame = std::make_shared<std::vector<std::uint8_t>>();
-  service::append_frame(*frame, type, payload);
-  const std::shared_ptr<const std::vector<std::uint8_t>> shared =
-      std::move(frame);
-
+                            std::span<const std::uint8_t> payload) {
   bool any_dead = false;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
+    if (impl_->subscribers.empty()) return;  // nobody to frame it for
+    auto frame = std::make_shared<std::vector<std::uint8_t>>();
+    service::append_frame(*frame, type, payload);
+    const std::shared_ptr<const std::vector<std::uint8_t>> shared =
+        std::move(frame);
     for (const std::unique_ptr<Subscriber>& sub : impl_->subscribers) {
       std::lock_guard<std::mutex> sl(sub->mutex);
       if (sub->dead) {

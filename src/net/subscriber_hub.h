@@ -3,10 +3,10 @@
 
 // Fan-out of the server's per-step frames to N streaming subscribers.
 //
-// The tick loop must never block on a subscriber: publish() encodes
-// the frame once and appends a shared reference to each subscriber's
-// BOUNDED queue under a per-subscriber mutex held only for the queue
-// operation. A full queue drops its OLDEST frame (the subscriber is
+// The tick loop must never block on a subscriber: publish() frames
+// the payload once (not at all when nobody subscribes) and appends a
+// shared reference to each subscriber's BOUNDED queue under a
+// per-subscriber mutex held only for the queue operation. A full queue drops its OLDEST frame (the subscriber is
 // behind; the newest state is worth more than a complete history) and
 // bumps the dropped-frames counter. A dedicated writer thread per
 // subscriber drains the queue to the socket; a write error or timeout
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "net/socket.h"
@@ -46,9 +47,10 @@ class SubscriberHub {
 
   [[nodiscard]] std::uint16_t port() const noexcept;
 
-  /// Enqueues one frame (encoded once, shared) to every live
-  /// subscriber. Never blocks on the network.
-  void publish(std::uint8_t type, const std::vector<std::uint8_t>& payload);
+  /// Enqueues one frame (framed once, shared) to every live subscriber.
+  /// With no subscriber it frames nothing and allocates nothing. Never
+  /// blocks on the network.
+  void publish(std::uint8_t type, std::span<const std::uint8_t> payload);
 
   /// Waits up to `timeout_ms` for every live subscriber's queue to
   /// drain (so a final frame reaches well-behaved clients before

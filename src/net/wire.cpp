@@ -9,15 +9,13 @@ namespace cebis::net {
 
 namespace {
 
+using service::codec::kFrameHeaderSize;
 using service::codec::Parser;
 using service::codec::put;
 using service::codec::put_f64;
 
 constexpr std::size_t kStreamHeaderSize =
     sizeof(kNetMagic) + sizeof(std::uint32_t) + 1;
-
-/// A frame's type byte and length prefix.
-constexpr std::size_t kFrameHeaderSize = 1 + sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -70,7 +68,7 @@ Channel read_stream_header(Socket& sock, int timeout_ms) {
 // --- frame I/O --------------------------------------------------------------
 
 void write_frame(Socket& sock, std::uint8_t type,
-                 const std::vector<std::uint8_t>& payload, int timeout_ms) {
+                 std::span<const std::uint8_t> payload, int timeout_ms) {
   std::vector<std::uint8_t> buf;
   service::append_frame(buf, type, payload);
   sock.write_all(buf.data(), buf.size(), timeout_ms);
@@ -153,8 +151,7 @@ std::optional<Frame> FrameReader::next(int timeout_ms) {
 
 // --- net-only payload codecs ------------------------------------------------
 
-std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t) {
-  std::vector<std::uint8_t> out;
+void encode_telemetry(std::vector<std::uint8_t>& out, const TelemetryFrame& t) {
   put(out, t.step);
   put_f64(out, t.cost_so_far);
   put_f64(out, t.energy_so_far);
@@ -166,10 +163,15 @@ std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t) {
   put_f64(out, t.savings_mean);
   put_f64(out, t.savings_ewma);
   put(out, t.plan_rebuilds);
+}
+
+std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t) {
+  std::vector<std::uint8_t> out;
+  encode_telemetry(out, t);
   return out;
 }
 
-TelemetryFrame decode_telemetry(const std::vector<std::uint8_t>& payload,
+TelemetryFrame decode_telemetry(std::span<const std::uint8_t> payload,
                                 std::int64_t offset) {
   Parser p(payload, offset);
   TelemetryFrame t;
@@ -188,15 +190,20 @@ TelemetryFrame decode_telemetry(const std::vector<std::uint8_t>& payload,
   return t;
 }
 
-std::vector<std::uint8_t> encode_seal_headroom(const SealHeadroomFrame& s) {
-  std::vector<std::uint8_t> out;
+void encode_seal_headroom(std::vector<std::uint8_t>& out,
+                          const SealHeadroomFrame& s) {
   put(out, s.sealed_end);
   put(out, s.needed_end);
   put(out, s.steps_done);
+}
+
+std::vector<std::uint8_t> encode_seal_headroom(const SealHeadroomFrame& s) {
+  std::vector<std::uint8_t> out;
+  encode_seal_headroom(out, s);
   return out;
 }
 
-SealHeadroomFrame decode_seal_headroom(const std::vector<std::uint8_t>& payload,
+SealHeadroomFrame decode_seal_headroom(std::span<const std::uint8_t> payload,
                                        std::int64_t offset) {
   Parser p(payload, offset);
   SealHeadroomFrame s;
@@ -221,7 +228,7 @@ std::vector<std::uint8_t> encode_ingest_status(const IngestStatusFrame& s) {
   return out;
 }
 
-IngestStatusFrame decode_ingest_status(const std::vector<std::uint8_t>& payload,
+IngestStatusFrame decode_ingest_status(std::span<const std::uint8_t> payload,
                                        std::int64_t offset) {
   Parser p(payload, offset);
   IngestStatusFrame s;

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "base/ids.h"
@@ -120,7 +121,7 @@ void write_stream_header(Socket& sock, Channel channel, int timeout_ms);
 // --- frame I/O --------------------------------------------------------------
 
 void write_frame(Socket& sock, std::uint8_t type,
-                 const std::vector<std::uint8_t>& payload, int timeout_ms);
+                 std::span<const std::uint8_t> payload, int timeout_ms);
 
 /// Largest frame payload a FrameReader accepts.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
@@ -167,24 +168,30 @@ class FrameReader {
 
 // --- net-only payload codecs ------------------------------------------------
 //
-// decode_* take the frame's payload and the offset its frame began at
-// (for WireError provenance), mirroring service::decode_record.
+// Each encoder appends its payload to a caller's buffer, as
+// service::encode_record does; the one-argument form returns it as an
+// owned vector. decode_* take the frame's payload and the offset its
+// frame began at (for WireError provenance), mirroring
+// service::decode_record.
 
+void encode_telemetry(std::vector<std::uint8_t>& out, const TelemetryFrame& t);
 [[nodiscard]] std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t);
 // cebis-lint: allow(unreferenced-api) owns the frame format
 [[nodiscard]] TelemetryFrame decode_telemetry(
-    const std::vector<std::uint8_t>& payload, std::int64_t offset);
+    std::span<const std::uint8_t> payload, std::int64_t offset);
 
+void encode_seal_headroom(std::vector<std::uint8_t>& out,
+                          const SealHeadroomFrame& s);
 [[nodiscard]] std::vector<std::uint8_t> encode_seal_headroom(
     const SealHeadroomFrame& s);
 // cebis-lint: allow(unreferenced-api) owns the frame format
 [[nodiscard]] SealHeadroomFrame decode_seal_headroom(
-    const std::vector<std::uint8_t>& payload, std::int64_t offset);
+    std::span<const std::uint8_t> payload, std::int64_t offset);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_ingest_status(
     const IngestStatusFrame& s);
 [[nodiscard]] IngestStatusFrame decode_ingest_status(
-    const std::vector<std::uint8_t>& payload, std::int64_t offset);
+    std::span<const std::uint8_t> payload, std::int64_t offset);
 
 }  // namespace cebis::net
 

@@ -1,11 +1,11 @@
 #ifndef CEBIS_SERVICE_CODEC_H
 #define CEBIS_SERVICE_CODEC_H
 
-// Byte-level packing primitives shared by the binary event log
-// (service/event_log.cpp) and the network transport (src/net/): both
-// speak the same little-endian fixed-width encodings, so a frame
-// captured off the wire is byte-identical to the one the file log
-// appends. The Parser is the strict counterpart: every bounds defect
+// Byte-level packing primitives and the one framing routine, shared by
+// the binary event log (service/event_log.cpp) and the network
+// transport (src/net/): both speak the same little-endian fixed-width
+// encodings, so a frame captured off the wire is byte-identical to the
+// one the file log appends. The Parser is the strict counterpart: every bounds defect
 // raises EventLogError naming the byte offset the offending frame
 // starts at - torn and trailing bytes are defects, never silently
 // tolerated.
@@ -43,10 +43,50 @@ inline void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// A u32 count, then the run's raw bits in one copy.
 inline void put_doubles(std::vector<std::uint8_t>& out,
                         std::span<const double> values) {
   put(out, static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) put_f64(out, v);
+  const auto size = out.size();
+  out.resize(size + values.size_bytes());
+  if (!values.empty()) {
+    std::memcpy(out.data() + size, values.data(), values.size_bytes());
+  }
+}
+
+/// A frame's type byte and length prefix.
+inline constexpr std::size_t kFrameHeaderSize = 1 + sizeof(std::uint32_t);
+
+/// The one framing routine: appends `u8 type | u32 payload_len | payload
+/// | u32 crc32` to `out`. It writes the type and a length placeholder,
+/// lets `encode_payload(out)` append the payload in place, patches the
+/// length and appends the CRC - no payload temporary, and no allocation
+/// once `out` has grown to the largest frame. Every frame the event log,
+/// the feeder and the subscriber hub write goes through it.
+template <typename EncodePayload>
+void frame(std::vector<std::uint8_t>& out, std::uint8_t type,
+           EncodePayload&& encode_payload) {
+  const auto start = out.size();
+  put(out, type);
+  put(out, std::uint32_t{0});
+  encode_payload(out);
+  const auto payload_len =
+      static_cast<std::uint32_t>(out.size() - start - kFrameHeaderSize);
+  std::memcpy(out.data() + start + 1, &payload_len, sizeof(payload_len));
+  // The CRC covers type + length + payload, so a frame whose header
+  // bytes rot is as detectable as one whose payload does.
+  put(out, crc32(out.data() + start, out.size() - start));
+}
+
+/// Appends `record`'s frame to `out`, its payload encoded in place by
+/// service::encode_record.
+template <typename Record>
+void frame_record(std::vector<std::uint8_t>& out, RecordType type,
+                  const Record& record) {
+  frame(out, static_cast<std::uint8_t>(type),
+        [&record](std::vector<std::uint8_t>& buf) {
+          encode_record(buf, record);
+        });
 }
 
 /// Bounds-checked payload cursor; every defect names the frame offset.

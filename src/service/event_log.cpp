@@ -23,69 +23,6 @@ enum : std::uint8_t {
   kCfgJoint = 2,
 };
 
-std::vector<std::uint8_t> encode(const SessionMeta& meta) {
-  if (meta.storage) {
-    // The log carries StorageSpec's declarative core only; reject what
-    // it cannot round-trip exactly.
-    if (!meta.storage->per_cluster.empty()) {
-      throw std::invalid_argument(
-          "EventLogWriter: per-cluster battery overrides are not loggable");
-    }
-    if (!std::holds_alternative<std::monostate>(meta.storage->policy_config)) {
-      throw std::invalid_argument(
-          "EventLogWriter: non-default policy configs are not loggable");
-    }
-  }
-  std::vector<std::uint8_t> out;
-  put(out, meta.seed);
-  put_str(out, meta.router);
-  if (const auto* pa = std::get_if<core::PriceAwareConfig>(&meta.router_config)) {
-    put(out, static_cast<std::uint8_t>(kCfgPriceAware));
-    put_f64(out, pa->distance_threshold.value());
-    put_f64(out, pa->price_threshold.value());
-    put_f64(out, pa->nearby_slack.value());
-  } else if (const auto* jo =
-                 std::get_if<core::JointObjectiveConfig>(&meta.router_config)) {
-    put(out, static_cast<std::uint8_t>(kCfgJoint));
-    put_f64(out, jo->lambda_usd_per_mwh_km);
-    put_f64(out, jo->free_km.value());
-  } else {
-    put(out, static_cast<std::uint8_t>(kCfgMonostate));
-  }
-  put(out, static_cast<std::int64_t>(meta.period.begin));
-  put(out, static_cast<std::int64_t>(meta.period.end));
-  put(out, static_cast<std::int32_t>(meta.steps_per_hour));
-  put(out, static_cast<std::int32_t>(meta.samples_per_hour));
-  put(out, static_cast<std::int32_t>(meta.delay_hours));
-  put(out, static_cast<std::int32_t>(meta.delay_steps));
-  put(out, static_cast<std::uint8_t>(meta.enforce_p95 ? 1 : 0));
-  put(out, meta.n_states);
-  put(out, meta.n_clusters);
-  put_f64(out, meta.energy.peak_watts);
-  put_f64(out, meta.energy.idle_fraction);
-  put_f64(out, meta.energy.pue);
-  put_f64(out, meta.energy.exponent_r);
-  put_f64(out, meta.energy.epsilon_watts);
-  put(out, static_cast<std::uint8_t>(meta.energy.cooling_tracks_load ? 1 : 0));
-  put(out, static_cast<std::uint8_t>(meta.record_hourly_energy ? 1 : 0));
-  put(out, static_cast<std::uint8_t>(meta.storage ? 1 : 0));
-  if (meta.storage) {
-    const core::StorageSpec& s = *meta.storage;
-    put_f64(out, s.battery.capacity.value());
-    put_f64(out, s.battery.max_charge.value());
-    put_f64(out, s.battery.max_discharge.value());
-    put_f64(out, s.battery.round_trip_efficiency);
-    put_f64(out, s.battery.initial_soc_fraction);
-    put_str(out, s.policy);
-    put(out, static_cast<std::uint8_t>(s.cap_charge_at_peak ? 1 : 0));
-    put(out, static_cast<std::uint8_t>(s.tariff.index_to_wholesale ? 1 : 0));
-    put_f64(out, s.tariff.energy_adder.value());
-    put_f64(out, s.tariff.demand_usd_per_kw_month.value());
-    put_f64(out, s.tariff.demand_percentile);
-  }
-  return out;
-}
-
 SessionMeta decode_meta(Parser& p) {
   SessionMeta meta;
   meta.seed = p.get<std::uint64_t>();
@@ -148,6 +85,30 @@ SessionMeta decode_meta(Parser& p) {
 
 constexpr std::size_t kHeaderSize = sizeof(kEventLogMagic) + 2 * sizeof(std::uint32_t);
 
+/// CRC-32 lookup for slicing-by-8. Table 0 is the classic bytewise table
+/// of the reflected IEEE 802.3 polynomial 0xEDB88320; table k advances a
+/// byte's contribution through k further zero bytes.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
 }  // namespace
 
 core::ScenarioSpec scenario_of(const SessionSpec& spec) {
@@ -168,37 +129,31 @@ core::ScenarioSpec scenario_of(const SessionSpec& spec) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  // IEEE 802.3 (reflected polynomial 0xEDB88320), table-driven.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  // Slicing-by-8: eight bytes per step through eight tables, then a
+  // bytewise tail through the first.
+  const Crc32Tables& t = kCrc32Tables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, data, sizeof(lo));
+    std::memcpy(&hi, data + 4, sizeof(hi));
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
 void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload) {
-  const std::size_t start = out.size();
-  out.reserve(start + 1 + sizeof(std::uint32_t) + payload.size() +
-              sizeof(std::uint32_t));
-  put(out, type);
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  // The CRC covers type + length + payload, so a frame whose header
-  // bytes rot is as detectable as one whose payload does.
-  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
-  put(out, crc);
+                  std::span<const std::uint8_t> payload) {
+  codec::frame(out, type, [payload](std::vector<std::uint8_t>& buf) {
+    buf.insert(buf.end(), payload.begin(), payload.end());
+  });
 }
 
 // --- record codec -----------------------------------------------------------
@@ -235,43 +190,99 @@ const char* record_type_name(std::uint8_t type) {
   return "unknown";
 }
 
+void encode_record(std::vector<std::uint8_t>& out, const SessionMeta& meta) {
+  if (meta.storage) {
+    // The log carries StorageSpec's declarative core only; reject what
+    // it cannot round-trip exactly.
+    if (!meta.storage->per_cluster.empty()) {
+      throw std::invalid_argument(
+          "EventLogWriter: per-cluster battery overrides are not loggable");
+    }
+    if (!std::holds_alternative<std::monostate>(meta.storage->policy_config)) {
+      throw std::invalid_argument(
+          "EventLogWriter: non-default policy configs are not loggable");
+    }
+  }
+  put(out, meta.seed);
+  put_str(out, meta.router);
+  if (const auto* pa = std::get_if<core::PriceAwareConfig>(&meta.router_config)) {
+    put(out, static_cast<std::uint8_t>(kCfgPriceAware));
+    put_f64(out, pa->distance_threshold.value());
+    put_f64(out, pa->price_threshold.value());
+    put_f64(out, pa->nearby_slack.value());
+  } else if (const auto* jo =
+                 std::get_if<core::JointObjectiveConfig>(&meta.router_config)) {
+    put(out, static_cast<std::uint8_t>(kCfgJoint));
+    put_f64(out, jo->lambda_usd_per_mwh_km);
+    put_f64(out, jo->free_km.value());
+  } else {
+    put(out, static_cast<std::uint8_t>(kCfgMonostate));
+  }
+  put(out, static_cast<std::int64_t>(meta.period.begin));
+  put(out, static_cast<std::int64_t>(meta.period.end));
+  put(out, static_cast<std::int32_t>(meta.steps_per_hour));
+  put(out, static_cast<std::int32_t>(meta.samples_per_hour));
+  put(out, static_cast<std::int32_t>(meta.delay_hours));
+  put(out, static_cast<std::int32_t>(meta.delay_steps));
+  put(out, static_cast<std::uint8_t>(meta.enforce_p95 ? 1 : 0));
+  put(out, meta.n_states);
+  put(out, meta.n_clusters);
+  put_f64(out, meta.energy.peak_watts);
+  put_f64(out, meta.energy.idle_fraction);
+  put_f64(out, meta.energy.pue);
+  put_f64(out, meta.energy.exponent_r);
+  put_f64(out, meta.energy.epsilon_watts);
+  put(out, static_cast<std::uint8_t>(meta.energy.cooling_tracks_load ? 1 : 0));
+  put(out, static_cast<std::uint8_t>(meta.record_hourly_energy ? 1 : 0));
+  put(out, static_cast<std::uint8_t>(meta.storage ? 1 : 0));
+  if (meta.storage) {
+    const core::StorageSpec& s = *meta.storage;
+    put_f64(out, s.battery.capacity.value());
+    put_f64(out, s.battery.max_charge.value());
+    put_f64(out, s.battery.max_discharge.value());
+    put_f64(out, s.battery.round_trip_efficiency);
+    put_f64(out, s.battery.initial_soc_fraction);
+    put_str(out, s.policy);
+    put(out, static_cast<std::uint8_t>(s.cap_charge_at_peak ? 1 : 0));
+    put(out, static_cast<std::uint8_t>(s.tariff.index_to_wholesale ? 1 : 0));
+    put_f64(out, s.tariff.energy_adder.value());
+    put_f64(out, s.tariff.demand_usd_per_kw_month.value());
+    put_f64(out, s.tariff.demand_percentile);
+  }
+}
+
+void encode_record(std::vector<std::uint8_t>& out, const PriceTickRecord& tick) {
+  put(out, static_cast<std::int32_t>(tick.hub.value()));
+  put(out, tick.interval);
+  put_f64(out, tick.price);
+}
+
+void encode_record(std::vector<std::uint8_t>& out,
+                   const WorkloadStepRecord& step) {
+  put(out, step.step);
+  put_doubles(out, step.demand);
+}
+
+void encode_record(std::vector<std::uint8_t>& out,
+                   const RoutingDecisionRecord& decision) {
+  put(out, decision.step);
+  put_doubles(out, decision.cluster_load);
+}
+
+void encode_record(std::vector<std::uint8_t>& out,
+                   const StorageActionRecord& action) {
+  put(out, action.step);
+  put_doubles(out, action.soc_delta_mwh);
+}
+
 std::vector<std::uint8_t> encode_record(const EventRecord& record) {
-  struct Visitor {
-    std::vector<std::uint8_t> operator()(const SessionMeta& meta) const {
-      return encode(meta);
-    }
-    std::vector<std::uint8_t> operator()(const PriceTickRecord& tick) const {
-      std::vector<std::uint8_t> payload;
-      put(payload, static_cast<std::int32_t>(tick.hub.value()));
-      put(payload, tick.interval);
-      put_f64(payload, tick.price);
-      return payload;
-    }
-    std::vector<std::uint8_t> operator()(const WorkloadStepRecord& step) const {
-      std::vector<std::uint8_t> payload;
-      put(payload, step.step);
-      put_doubles(payload, step.demand);
-      return payload;
-    }
-    std::vector<std::uint8_t> operator()(
-        const RoutingDecisionRecord& decision) const {
-      std::vector<std::uint8_t> payload;
-      put(payload, decision.step);
-      put_doubles(payload, decision.cluster_load);
-      return payload;
-    }
-    std::vector<std::uint8_t> operator()(const StorageActionRecord& action) const {
-      std::vector<std::uint8_t> payload;
-      put(payload, action.step);
-      put_doubles(payload, action.soc_delta_mwh);
-      return payload;
-    }
-  };
-  return std::visit(Visitor{}, record);
+  std::vector<std::uint8_t> payload;
+  std::visit([&payload](const auto& r) { encode_record(payload, r); }, record);
+  return payload;
 }
 
 EventRecord decode_record(std::uint8_t type,
-                          const std::vector<std::uint8_t>& payload,
+                          std::span<const std::uint8_t> payload,
                           std::int64_t offset) {
   Parser p(payload, offset);
   switch (static_cast<RecordType>(type)) {
@@ -343,44 +354,44 @@ EventLogWriter::EventLogWriter(const std::string& path, obs::Taps taps)
   bytes_ = static_cast<std::int64_t>(kHeaderSize);
 }
 
-void EventLogWriter::frame(RecordType type,
-                           const std::vector<std::uint8_t>& payload) {
+template <typename Record>
+void EventLogWriter::frame(RecordType type, const Record& record) {
   if (closed_) {
     throw std::logic_error("EventLogWriter: write after close");
   }
   const obs::Tracer::Span span =
       obs::maybe_span(tracer_, "eventlog/write", "eventlog");
-  std::vector<std::uint8_t> buf;
-  append_frame(buf, static_cast<std::uint8_t>(type), payload);
-  out_.write(reinterpret_cast<const char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
+  buf_.clear();
+  codec::frame_record(buf_, type, record);
+  out_.write(reinterpret_cast<const char*>(buf_.data()),
+             static_cast<std::streamsize>(buf_.size()));
   if (!out_) {
     throw std::runtime_error("EventLogWriter: write failed for " + path_);
   }
-  bytes_ += static_cast<std::int64_t>(buf.size());
+  bytes_ += static_cast<std::int64_t>(buf_.size());
   ++frames_;
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(buf.size()));
+  m_bytes_.add(static_cast<double>(buf_.size()));
 }
 
 void EventLogWriter::write(const SessionMeta& meta) {
-  frame(RecordType::kSessionMeta, encode(meta));
+  frame(RecordType::kSessionMeta, meta);
 }
 
 void EventLogWriter::write(const PriceTickRecord& tick) {
-  frame(RecordType::kPriceTick, encode_record(EventRecord{tick}));
+  frame(RecordType::kPriceTick, tick);
 }
 
 void EventLogWriter::write(const WorkloadStepRecord& step) {
-  frame(RecordType::kWorkloadStep, encode_record(EventRecord{step}));
+  frame(RecordType::kWorkloadStep, step);
 }
 
 void EventLogWriter::write(const RoutingDecisionRecord& decision) {
-  frame(RecordType::kRoutingDecision, encode_record(EventRecord{decision}));
+  frame(RecordType::kRoutingDecision, decision);
 }
 
 void EventLogWriter::write(const StorageActionRecord& action) {
-  frame(RecordType::kStorageAction, encode_record(EventRecord{action}));
+  frame(RecordType::kStorageAction, action);
 }
 
 void EventLogWriter::close() {
@@ -465,10 +476,11 @@ std::optional<EventRecord> EventLogReader::next() {
             std::to_string(left) + " bytes (payload and checksum) follow it",
         frame_offset);
   }
-  std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);
-  buf[0] = type;
-  std::memcpy(buf.data() + 1, &payload_len, sizeof(payload_len));
-  in_.read(reinterpret_cast<char*>(buf.data() + 1 + sizeof(payload_len)),
+  // The frame buffer is reused: it grows to the largest frame so far.
+  frame_.resize(codec::kFrameHeaderSize + payload_len);
+  frame_[0] = type;
+  std::memcpy(frame_.data() + 1, &payload_len, sizeof(payload_len));
+  in_.read(reinterpret_cast<char*>(frame_.data() + codec::kFrameHeaderSize),
            payload_len);
   std::uint32_t stored_crc = 0;
   in_.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
@@ -477,20 +489,19 @@ std::optional<EventRecord> EventLogReader::next() {
                             record_type_name(type) + " frame",
                         frame_offset);
   }
-  const std::uint32_t computed = crc32(buf.data(), buf.size());
+  const std::uint32_t computed = crc32(frame_.data(), frame_.size());
   if (computed != stored_crc) {
     m_crc_failures_.add();
     throw EventLogError(std::string("CRC mismatch in a ") +
                             record_type_name(type) + " frame",
                         frame_offset);
   }
-  offset_ = frame_offset + static_cast<std::int64_t>(buf.size() + sizeof(stored_crc));
+  const std::size_t frame_size = frame_.size() + sizeof(stored_crc);
+  offset_ = frame_offset + static_cast<std::int64_t>(frame_size);
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(buf.size() + sizeof(stored_crc)));
-
-  const std::vector<std::uint8_t> payload(buf.begin() + 1 + sizeof(payload_len),
-                                          buf.end());
-  return decode_record(type, payload, frame_offset);
+  m_bytes_.add(static_cast<double>(frame_size));
+  return decode_record(
+      type, std::span(frame_).subspan(codec::kFrameHeaderSize), frame_offset);
 }
 
 RecordedSession read_session(const std::string& path) {

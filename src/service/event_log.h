@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -162,10 +163,13 @@ class EventLogWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  void frame(RecordType type, const std::vector<std::uint8_t>& payload);
+  /// Frames `record` into buf_ in place and appends it to the file.
+  template <typename Record>
+  void frame(RecordType type, const Record& record);
 
   std::string path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> buf_;  ///< one frame, reused
   std::int64_t bytes_ = 0;
   std::int64_t frames_ = 0;
   bool closed_ = false;
@@ -196,6 +200,9 @@ class EventLogReader {
   std::ifstream in_;
   std::int64_t file_size_ = 0;
   std::int64_t offset_ = 0;
+  /// The current frame (type through payload), reused; next() decodes
+  /// the payload straight out of it.
+  std::vector<std::uint8_t> frame_;
   obs::Counter m_frames_;
   obs::Counter m_bytes_;
   obs::Counter m_crc_failures_;
@@ -222,14 +229,26 @@ struct RecordedSession {
 // socket is byte-identical to the one the file log appends, so a server
 // can append ingested frames verbatim and replay-equals-live holds for
 // socket sessions.
+//
+// One framing routine (codec::frame in service/codec.h) writes every
+// frame: the type, a length placeholder, the payload appended in place
+// by the record's encoder, the patched length, the CRC. The log writer
+// and the feeder each keep one frame buffer, and the server one payload
+// buffer for its per-step frames, so framing a record allocates nothing
+// once the buffer has grown to the largest frame; the subscriber hub
+// frames a payload only when someone subscribes. encode_record(record)
+// is the call for an owned payload vector (benches, tests); it runs the
+// same encoders.
 
-/// IEEE 802.3 CRC-32 (the frame checksum).
+/// IEEE 802.3 CRC-32 (reflected polynomial 0xEDB88320; the frame
+/// checksum), computed slicing-by-8: eight bytes per step through eight
+/// lookup tables, then a bytewise tail.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 /// Appends one frame, `u8 type | u32 payload_len | payload | u32 crc32`,
-/// to `out`. The log writer and every socket writer frame through it.
+/// around an already-encoded `payload` to `out`.
 void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload);
+                  std::span<const std::uint8_t> payload);
 
 /// The wire type tag of a record.
 [[nodiscard]] RecordType record_type(const EventRecord& record);
@@ -238,16 +257,27 @@ void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
 /// "unknown") for diagnostics.
 [[nodiscard]] const char* record_type_name(std::uint8_t type);
 
-/// Encodes a record's payload (the bytes between the length prefix and
-/// the CRC). Throws std::invalid_argument for a SessionMeta the codec
-/// cannot round-trip exactly (non-registry router config, non-loggable
-/// storage spec).
+/// Appends a record's payload (the bytes between the length prefix and
+/// the CRC) to `out`. The SessionMeta form throws std::invalid_argument
+/// for a meta the codec cannot round-trip exactly (non-registry router
+/// config, non-loggable storage spec).
+void encode_record(std::vector<std::uint8_t>& out, const SessionMeta& meta);
+void encode_record(std::vector<std::uint8_t>& out, const PriceTickRecord& tick);
+void encode_record(std::vector<std::uint8_t>& out,
+                   const WorkloadStepRecord& step);
+void encode_record(std::vector<std::uint8_t>& out,
+                   const RoutingDecisionRecord& decision);
+void encode_record(std::vector<std::uint8_t>& out,
+                   const StorageActionRecord& action);
+
+/// A record's payload as an owned vector (throws where the in-place
+/// form does).
 [[nodiscard]] std::vector<std::uint8_t> encode_record(const EventRecord& record);
 
 /// Decodes one payload. Throws EventLogError naming `offset` (where the
 /// frame started in its stream) on an unknown type or malformed payload.
 [[nodiscard]] EventRecord decode_record(std::uint8_t type,
-                                        const std::vector<std::uint8_t>& payload,
+                                        std::span<const std::uint8_t> payload,
                                         std::int64_t offset);
 
 }  // namespace cebis::service

@@ -36,23 +36,21 @@ class EventLogObserver final : public core::StepObserver {
   }
 
   void on_step(const core::StepView& view) override {
-    RoutingDecisionRecord decision;
-    decision.step = view.step;
+    decision_.step = view.step;
     const std::span<const double> totals = view.allocation.cluster_totals();
-    decision.cluster_load.assign(totals.begin(), totals.end());
-    log_.write(decision);
+    decision_.cluster_load.assign(totals.begin(), totals.end());
+    log_.write(decision_);
 
     if (controller_ != nullptr) {
-      StorageActionRecord action;
-      action.step = view.step;
+      action_.step = view.step;
       const std::vector<storage::Battery>& batteries = controller_->batteries();
-      action.soc_delta_mwh.resize(batteries.size());
+      action_.soc_delta_mwh.resize(batteries.size());
       for (std::size_t c = 0; c < batteries.size(); ++c) {
         const double soc = batteries[c].soc().value();
-        action.soc_delta_mwh[c] = soc - prev_soc_[c];
+        action_.soc_delta_mwh[c] = soc - prev_soc_[c];
         prev_soc_[c] = soc;
       }
-      log_.write(action);
+      log_.write(action_);
     }
   }
 
@@ -60,6 +58,9 @@ class EventLogObserver final : public core::StepObserver {
   EventLogWriter& log_;
   const storage::StorageController* controller_;
   std::vector<double> prev_soc_;
+  // Reused every step, so logging a step allocates nothing.
+  RoutingDecisionRecord decision_;
+  StorageActionRecord action_;
 };
 
 /// Keeps the last step's per-cluster routed load readable between
@@ -171,6 +172,7 @@ struct LiveEngine::Impl {
   obs::Tracer* tracer = nullptr;
 
   EventLogWriter* log = nullptr;
+  WorkloadStepRecord step_record;  // reused by every logged advance()
   LiveTelemetry telemetry;
   double prev_cost = 0.0;
   double prev_shadow_cost = 0.0;
@@ -318,8 +320,9 @@ void LiveEngine::advance(std::span<const double> demand) {
       obs::maybe_span(im.tracer, "live/advance", "live");
   im.workload.push(demand);
   if (im.log != nullptr) {
-    im.log->write(
-        WorkloadStepRecord{k, std::vector<double>(demand.begin(), demand.end())});
+    im.step_record.step = k;
+    im.step_record.demand.assign(demand.begin(), demand.end());
+    im.log->write(im.step_record);
   }
   im.session->step();
   const double cost = im.session->cost_so_far();

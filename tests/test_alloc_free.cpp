@@ -1,10 +1,14 @@
-// Heap allocations per batch step, counted rather than timed. This
-// binary replaces the global operator new with one that counts calls,
-// opens batch sessions through the same construction the scenario
-// runner uses (plan_run, a fresh workload and engine per cell), takes
-// the first step - which may size scratch space such as a router's plan
-// - and pins every later step at zero allocations. A count does not
-// drift with the host's speed, so it gates hard where a timing cannot.
+// Heap allocations per step, counted rather than timed. This binary
+// replaces the global operator new with one that counts calls, opens
+// batch sessions through the same construction the scenario runner uses
+// (plan_run, a fresh workload and engine per cell), takes the first step
+// - which may size scratch space such as a router's plan - and pins
+// every later step at zero allocations. The live half runs a logged
+// LiveEngine session the way the server drives one and pins its price
+// ticks at zero and its steps at the blocks named below, and the
+// subscriber hub's publish at zero when nobody subscribes. A count does
+// not drift with the host's speed, so it gates hard where a timing
+// cannot.
 //
 // The replacement forwards to malloc/free, so the sanitizers still see
 // every block; every new/delete form that could otherwise pair a
@@ -16,14 +20,21 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <new>
 #include <ostream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/simulation.h"
 #include "core/workload.h"
+#include "net/feed_client.h"
+#include "net/subscriber_hub.h"
+#include "service/event_log.h"
+#include "service/live_engine.h"
 #include "test_support.h"
 
 namespace {
@@ -156,6 +167,138 @@ constexpr AllocCell kCells[] = {
 
 INSTANTIATE_TEST_SUITE_P(Routers, AllocFree, ::testing::ValuesIn(kCells),
                          cell_name);
+
+// --- the live half ------------------------------------------------------------
+
+/// The service benchmark's session: price-aware on the 5-minute market,
+/// a shadow baseline, a Lyapunov battery behind every cluster under a
+/// demand charge.
+service::LiveConfig live_config(Period period) {
+  service::LiveConfig config;
+  config.router = "price-aware";
+  config.period = period;
+  config.steps_per_hour = 12;
+  config.samples_per_hour = 12;
+  config.shadow_baseline = true;
+  StorageSpec storage;
+  storage.policy = "lyapunov";
+  storage.battery.capacity = MegawattHours{1.0};
+  storage.battery.max_charge = Watts{400'000.0};
+  storage.battery.max_discharge = Watts{400'000.0};
+  storage.battery.round_trip_efficiency = 0.9;
+  storage.tariff.demand_usd_per_kw_month = Usd{12.0};
+  config.storage = storage;
+  return config;
+}
+
+/// Every tick the session needs (each tracked hub, routing-delay margin
+/// included) and every step of the trace's demand, in the order a feeder
+/// sends them.
+std::vector<service::EventRecord> live_feed(const Fixture& fx,
+                                            const service::LiveConfig& config,
+                                            const service::SessionMeta& meta) {
+  const int sph = config.samples_per_hour;
+  const Period priced{config.period.begin - config.delay_hours,
+                      config.period.end};
+  const market::PriceSet& prices = fx.prices_covering(priced, sph);
+  std::vector<HubId> hubs;
+  for (const Cluster& c : fx.clusters) {
+    bool seen = false;
+    for (const HubId h : hubs) seen = seen || h.index() == c.hub.index();
+    if (!seen) hubs.push_back(c.hub);
+  }
+  std::vector<service::PriceTickRecord> ticks;
+  for (std::int64_t i = priced.begin * sph; i < config.period.end * sph; ++i) {
+    const HourIndex hour = i / sph;
+    for (const HubId hub : hubs) {
+      ticks.push_back(
+          {hub, i, prices.rt_at(hub, hour, static_cast<int>(i - hour * sph))
+                       .value()});
+    }
+  }
+  const TraceWorkload demand(fx.trace, fx.allocation);
+  std::vector<service::WorkloadStepRecord> steps;
+  std::vector<double> row(demand.state_count());
+  for (std::int64_t k = 0; k < config.period.hours() * config.steps_per_hour;
+       ++k) {
+    demand.demand(k, row);
+    steps.push_back({k, row});
+  }
+  return net::interleave_feed(meta, ticks, steps);
+}
+
+TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
+  const Fixture fx = Fixture::make(test::kTestSeed);
+  const Period trace = fx.trace.period();
+  const service::LiveConfig config =
+      live_config(Period{trace.begin, trace.begin + 48});
+  const std::vector<service::EventRecord> feed =
+      live_feed(fx, config, service::LiveEngine(fx, config).meta());
+
+  test::TempFile file("alloc_free_live.eventlog");
+  service::EventLogWriter log(file.path());
+  service::LiveEngine live(fx, config, &log);
+  std::deque<const std::vector<double>*> pending;
+  std::int64_t ticks = 0;
+  std::int64_t tick_allocations = 0;
+  std::int64_t steps = 0;
+  std::int64_t step_allocations = 0;
+  std::int64_t growth_steps = 0;
+  for (const service::EventRecord& record : feed) {
+    if (const auto* tick = std::get_if<service::PriceTickRecord>(&record)) {
+      const std::int64_t before = allocations();
+      live.on_price_tick(tick->hub, tick->interval, tick->price);
+      if (live.steps_done() > 0) {
+        tick_allocations += allocations() - before;
+        ++ticks;
+      }
+    } else {
+      pending.push_back(&std::get<service::WorkloadStepRecord>(record).demand);
+    }
+    while (!pending.empty() && !live.done() &&
+           live.needed_end() <= live.sealed_end()) {
+      const bool first = live.steps_done() == 0;
+      const std::int64_t before = allocations();
+      live.advance(*pending.front());
+      pending.pop_front();
+      if (first) continue;  // sizes the log's frame buffer, among others
+      const std::int64_t made = allocations() - before;
+      step_allocations += made;
+      ++steps;
+      if (made != 1) ++growth_steps;
+    }
+  }
+  ASSERT_TRUE(live.done());
+  EXPECT_EQ(steps, 575);
+  EXPECT_GT(ticks, 5000);
+
+  // A tick is assembled and logged through reused buffers.
+  EXPECT_EQ(tick_allocations, 0) << "over " << ticks << " ticks";
+
+  // A step makes exactly one allocation: the std::vector that
+  // Router::counters() returns, read for the plan-rebuild telemetry.
+  // Logging the step, its decision and its battery action reuses member
+  // records and the writer's frame buffer. The exceptions are the steps
+  // on which StorageController's month series grows: each battery's
+  // running order statistic (two heaps per cluster) doubles its storage
+  // as the month's intervals accumulate. These counts were measured; a
+  // new per-step allocation anywhere on the path raises every step.
+  EXPECT_LE(growth_steps, 16) << "steps whose count is not 1";
+  EXPECT_LE(step_allocations, 731) << "over " << steps << " steps";
+}
+
+TEST(AllocFreeLive, HubPublishWithoutSubscribersAllocatesNothing) {
+  net::SubscriberHub hub(net::SubscriberHubOptions{});
+  const std::vector<std::uint8_t> payload(416, 0x5A);
+  const std::int64_t before = allocations();
+  for (int i = 0; i < 1000; ++i) {
+    hub.publish(
+        static_cast<std::uint8_t>(service::RecordType::kRoutingDecision),
+        payload);
+  }
+  EXPECT_EQ(allocations() - before, 0);
+  hub.stop();
+}
 
 }  // namespace
 }  // namespace cebis::core

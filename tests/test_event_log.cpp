@@ -3,7 +3,9 @@
 // without storage, and the strict-reader contract - torn final frames,
 // CRC corruption, foreign headers and ordering violations must all
 // raise EventLogError naming the byte offset, never a silent partial
-// replay.
+// replay. The codec's bytes are pinned outright: the CRC against a
+// bitwise reference, and one frame of every log and net frame type
+// against golden hex.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "net/wire.h"
 #include "service/codec.h"
 #include "service/event_log.h"
 #include "test_support.h"
@@ -458,11 +462,193 @@ TEST(EventLog, ReadSessionBucketsByType) {
 
 // --- crc32 ------------------------------------------------------------------
 
+/// The CRC-32 straight from its definition, one bit at a time: the
+/// reflected IEEE 802.3 polynomial, initial value and final XOR all
+/// ones. No table, so it shares nothing with the code under test.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 TEST(EventLog, Crc32MatchesKnownVectors) {
   // The IEEE 802.3 check value for "123456789".
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(check, sizeof(check)), 0xCBF43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+
+  // Every length across several 8-byte blocks and their tails, at every
+  // alignment of the first byte, against the bitwise definition.
+  stats::Rng rng = test::test_rng(20);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.index(256));
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(crc32(buf.data() + start, size),
+                reference_crc32(buf.data() + start, size))
+          << "start " << start << ", size " << size;
+    }
+  }
+}
+
+// --- golden frames ------------------------------------------------------------
+//
+// The log writer and its reader share one codec, so a change to it
+// round-trips cleanly and replay-equals-live cannot see it. These bytes
+// can: they were captured from the original byte-at-a-time codec, and
+// every frame type must keep them.
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+std::string frame_hex(std::uint8_t type,
+                      const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> frame;
+  append_frame(frame, type, payload);
+  return hex(frame);
+}
+
+SessionMeta golden_meta() {
+  SessionMeta meta = small_meta();
+  core::StorageSpec storage;
+  storage.battery.capacity = MegawattHours{1.0};
+  storage.battery.max_charge = Watts{400'000.0};
+  storage.battery.max_discharge = Watts{400'000.0};
+  storage.battery.round_trip_efficiency = 0.9;
+  storage.policy = "lyapunov";
+  storage.tariff.demand_usd_per_kw_month = Usd{12.0};
+  meta.storage = storage;
+  return meta;
+}
+
+struct GoldenRecord {
+  EventRecord record;
+  const char* hex;
+};
+
+const std::vector<GoldenRecord>& golden_records() {
+  // Each frame: type | payload length | payload | CRC.
+  static const std::vector<GoldenRecord> records = {
+      {golden_meta(),
+       "01" "d2000000"
+       "2a000000000000000b00000070726963652d6177617265010000000000709740"
+       "0000000000000440000000000000494064000000000000009400000000000000"
+       "0c0000000c00000001000000030000000007000000030000000000000000406f"
+       "40cdcccccccccce43fcdccccccccccf43f666666666666f63f00000000000000"
+       "00000101000000000000f03f00000000006a184100000000006a1841cdcccccc"
+       "ccccec3f0000000000000000080000006c796170756e6f760101000000000000"
+       "000000000000000028400000000000005940"
+       "c29926bc"},
+      {PriceTickRecord{HubId(4), 1207, 55.125},
+       "02" "14000000"
+       "04000000b7040000000000000000000000904b40"
+       "46780b63"},
+      {WorkloadStepRecord{7, {1.0, -2.5, 1e-300, 0.0}},
+       "03" "2c000000"
+       "070000000000000004000000000000000000f03f00000000000004c059f3f8c2"
+       "1f6ea5010000000000000000"
+       "e03382f7"},
+      {RoutingDecisionRecord{3, {3.5, 0.0, 1234.5}},
+       "04" "24000000"
+       "0300000000000000030000000000000000000c40000000000000000000000000"
+       "004a9340"
+       "b67c33ec"},
+      {StorageActionRecord{3, {0.25, -0.125}},
+       "05" "1c000000"
+       "030000000000000002000000000000000000d03f000000000000c0bf"
+       "97212eee"},
+  };
+  return records;
+}
+
+TEST(EventLog, RecordFramesMatchGoldenBytes) {
+  for (const GoldenRecord& g : golden_records()) {
+    const auto type = static_cast<std::uint8_t>(record_type(g.record));
+    EXPECT_EQ(frame_hex(type, encode_record(g.record)), g.hex)
+        << record_type_name(type);
+  }
+
+  // The writer frames in place; its file holds the same bytes after the
+  // 16-byte header.
+  test::TempFile file("event_log_golden.eventlog");
+  std::string want;
+  {
+    EventLogWriter writer(file.path());
+    for (const GoldenRecord& g : golden_records()) {
+      std::visit([&writer](const auto& r) { writer.write(r); }, g.record);
+      want += g.hex;
+    }
+    writer.close();
+  }
+  const std::string all = test::slurp(file.path());
+  ASSERT_GE(all.size(), static_cast<std::size_t>(kHeaderSize));
+  EXPECT_EQ(hex(std::span(reinterpret_cast<const std::uint8_t*>(all.data()),
+                          all.size())
+                    .subspan(kHeaderSize)),
+            want);
+}
+
+TEST(EventLog, NetFramesMatchGoldenBytes) {
+  net::TelemetryFrame t;
+  t.step = 288;
+  t.cost_so_far = 1234.5;
+  t.energy_so_far = 67.25;
+  t.bill_last = 4.5;
+  t.bill_mean = 4.25;
+  t.bill_ewma = 4.125;
+  t.have_savings = true;
+  t.savings_last = 0.5;
+  t.savings_mean = -0.25;
+  t.savings_ewma = 0.0625;
+  t.plan_rebuilds = 24;
+  EXPECT_EQ(frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kTelemetry),
+                      net::encode_telemetry(t)),
+            "20" "51000000"
+            "200100000000000000000000004a93400000000000d0504000000000000012"
+            "400000000000001140000000000080104001000000000000e03f0000000000"
+            "00d0bf000000000000b03f1800000000000000"
+            "07a98446");
+
+  const net::SealHeadroomFrame s{
+      .sealed_end = 5000, .needed_end = 4990, .steps_done = 12};
+  EXPECT_EQ(
+      frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kSealHeadroom),
+                net::encode_seal_headroom(s)),
+      "21" "18000000"
+      "88130000000000007e130000000000000c00000000000000"
+      "1fea34bd");
+
+  net::IngestStatusFrame status;
+  status.has_session = true;
+  status.complete = false;
+  status.steps_done = 100;
+  status.steps_buffered = 2;
+  status.cursors = {{4, 1300}, {7, 1299}};
+  EXPECT_EQ(
+      frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kIngestStatus),
+                net::encode_ingest_status(status)),
+      "23" "2e000000"
+      "0100640000000000000002000000000000000200000004000000140500000000"
+      "0000070000001305000000000000"
+      "3a0e2a49");
+
+  EXPECT_EQ(frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kFeedEnd),
+                      {}),
+            "22" "00000000" "798b237d");
 }
 
 }  // namespace
