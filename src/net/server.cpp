@@ -40,9 +40,7 @@ struct Server::Impl {
   bool finished = false;
   ServerReport report;
 
-  // The publish path's reused scratch: each step's decision record and
-  // the payload buffer every per-step frame is encoded into.
-  service::RoutingDecisionRecord decision;
+  // The payload buffer every per-step frame is encoded into, reused.
   std::vector<std::uint8_t> payload;
 
   obs::Counter m_connections;
@@ -153,11 +151,8 @@ struct Server::Impl {
     const obs::Tracer::Span span =
         obs::maybe_span(options.taps.tracer, "net/publish", "net");
     const std::int64_t done = live->steps_done();
-    decision.step = done - 1;
-    const std::span<const double> load = live->last_cluster_load();
-    decision.cluster_load.assign(load.begin(), load.end());
     payload.clear();
-    service::encode_record(payload, decision);
+    service::encode_record(payload, live->last_decision());
     hub.publish(static_cast<std::uint8_t>(service::RecordType::kRoutingDecision),
                 payload);
 

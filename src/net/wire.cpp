@@ -9,7 +9,6 @@ namespace cebis::net {
 
 namespace {
 
-using service::codec::kFrameHeaderSize;
 using service::codec::Parser;
 using service::codec::put;
 using service::codec::put_f64;
@@ -18,16 +17,6 @@ constexpr std::size_t kStreamHeaderSize =
     sizeof(kNetMagic) + sizeof(std::uint32_t) + 1;
 
 }  // namespace
-
-const char* frame_type_name(std::uint8_t type) {
-  switch (static_cast<NetFrameType>(type)) {
-    case NetFrameType::kTelemetry: return "Telemetry";
-    case NetFrameType::kSealHeadroom: return "SealHeadroom";
-    case NetFrameType::kFeedEnd: return "FeedEnd";
-    case NetFrameType::kIngestStatus: return "IngestStatus";
-    default: return service::record_type_name(type);
-  }
-}
 
 // --- stream headers ---------------------------------------------------------
 
@@ -74,79 +63,20 @@ void write_frame(Socket& sock, std::uint8_t type,
   sock.write_all(buf.data(), buf.size(), timeout_ms);
 }
 
-FrameReader::FrameReader(Socket& sock) : sock_(sock), buf_(kReadBufferSize) {}
-
-/// Reads until `want` bytes of the current frame are buffered; false
-/// when the peer closes first. A socket failure after the frame's first
-/// byte counts as a close (the caller reports the torn frame); one at a
-/// frame boundary, and any timeout, propagates.
-bool FrameReader::fill(std::size_t want, int timeout_ms) {
-  if (end_ - begin_ >= want) return true;
-  // Move the partial frame to the front, so one read can refill the
-  // rest of the buffer.
-  if (begin_ > 0) {
-    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
-    end_ -= begin_;
-    begin_ = 0;
-  }
-  if (buf_.size() < want) buf_.resize(want);  // a frame above kReadBufferSize
-  while (end_ < want) {
-    std::size_t n = 0;
+std::optional<Frame> FrameReader::next(int timeout_ms) {
+  using Reader = service::codec::FrameReader<WireError>;
+  return Reader::next([&](std::uint8_t* dst, std::size_t max) -> std::size_t {
     try {
-      n = sock_.read_some(buf_.data() + end_, buf_.size() - end_, timeout_ms);
+      return sock_.read_some(dst, max, timeout_ms);
     } catch (const TimeoutError&) {
       throw;
     } catch (const NetError&) {
-      if (end_ == 0) throw;
+      // Inside a frame, a failed socket ends the stream there: the
+      // reader reports the torn frame.
+      if (buffered() == 0) throw;
+      return 0;
     }
-    if (n == 0) return false;
-    end_ += n;
-  }
-  return true;
-}
-
-std::optional<Frame> FrameReader::next(int timeout_ms) {
-  const std::int64_t frame_offset = offset_;
-  if (!fill(kFrameHeaderSize, timeout_ms)) {
-    if (end_ == begin_) {
-      return std::nullopt;  // orderly close exactly on a frame boundary
-    }
-    throw WireError(
-        std::string("torn frame: stream ended inside the header of a ") +
-            frame_type_name(buf_[begin_]) + " frame",
-        frame_offset);
-  }
-  const std::uint8_t type = buf_[begin_];
-  std::uint32_t payload_len = 0;
-  std::memcpy(&payload_len, buf_.data() + begin_ + 1, sizeof(payload_len));
-  // Checked before fill() grows the buffer to the frame's size.
-  if (payload_len > kMaxFramePayload) {
-    throw WireError("oversized frame: " + std::to_string(payload_len) +
-                        " byte payload exceeds the " +
-                        std::to_string(kMaxFramePayload) + " byte limit",
-                    frame_offset);
-  }
-  const std::size_t crc_at = kFrameHeaderSize + payload_len;
-  const std::size_t frame_size = crc_at + sizeof(std::uint32_t);
-  if (!fill(frame_size, timeout_ms)) {
-    throw WireError(std::string("torn frame: stream ended inside a ") +
-                        frame_type_name(type) + " frame",
-                    frame_offset);
-  }
-  const std::uint8_t* bytes = buf_.data() + begin_;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes + crc_at, sizeof(stored_crc));
-  if (service::crc32(bytes, crc_at) != stored_crc) {
-    throw WireError(std::string("CRC mismatch in a ") +
-                        frame_type_name(type) + " frame",
-                    frame_offset);
-  }
-  Frame frame;
-  frame.type = type;
-  frame.payload.assign(bytes + kFrameHeaderSize, bytes + crc_at);
-  begin_ += frame_size;
-  offset_ = frame_offset + static_cast<std::int64_t>(frame_size);
-  return frame;
+  });
 }
 
 // --- net-only payload codecs ------------------------------------------------

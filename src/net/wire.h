@@ -17,10 +17,11 @@
 // extends over the socket. Types >= 32 are net-only control/telemetry
 // messages that never appear in a log file.
 //
-// Reading is strict, mirroring EventLogError: a torn frame, a CRC
-// mismatch, an oversized or malformed payload raise WireError naming
-// the byte offset into the stream where the offending frame began -
-// the server logs it and closes the connection, never resynchronizes.
+// Reading is strict: the event log's one frame reader cuts the frames,
+// so a torn frame, a CRC mismatch or an oversized payload raises
+// WireError worded as EventLogError is, naming the byte offset into the
+// stream where the offending frame began - the server logs it and
+// closes the connection, never resynchronizes.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +31,7 @@
 
 #include "base/ids.h"
 #include "net/socket.h"
+#include "service/codec.h"
 #include "service/event_log.h"
 
 namespace cebis::net {
@@ -43,13 +45,10 @@ enum class Channel : std::uint8_t {
   kSubscribe = 2,  ///< server -> client: decisions, telemetry, headroom
 };
 
-/// Net-only frame types (disjoint from service::RecordType's 1..5).
-enum class NetFrameType : std::uint8_t {
-  kTelemetry = 32,     ///< server -> subscribers, once per advanced step
-  kSealHeadroom = 33,  ///< server -> subscribers, once per advanced step
-  kFeedEnd = 34,       ///< feeder -> server: the feed is complete
-  kIngestStatus = 35,  ///< server -> feeder: resume cursor (on connect + ack)
-};
+/// Net-only frame types (disjoint from service::RecordType's 1..5) and
+/// their names, declared with the frame format in service/codec.h.
+using service::codec::frame_type_name;
+using service::codec::NetFrameType;
 
 /// Rolling dollar telemetry after one advanced step (the subscriber
 /// view of service::LiveTelemetry).
@@ -93,11 +92,9 @@ struct IngestStatusFrame {
   std::vector<HubCursor> cursors;
 };
 
-/// One frame off the wire, payload still encoded.
-struct Frame {
-  std::uint8_t type = 0;
-  std::vector<std::uint8_t> payload;
-};
+/// One frame off the wire, payload still encoded: a view of the
+/// reader's buffer, valid until its next call.
+using Frame = service::codec::Frame;
 
 /// Strict-reader failure; byte_offset() names where the offending
 /// frame began, counted from the first byte after the stream header.
@@ -105,10 +102,6 @@ class WireError : public service::EventLogError {
  public:
   using EventLogError::EventLogError;
 };
-
-/// Human-readable frame type name: the record names for 1..5, the
-/// net-only names for 32..35, "unknown" otherwise.
-[[nodiscard]] const char* frame_type_name(std::uint8_t type);
 
 // --- stream headers ---------------------------------------------------------
 
@@ -123,47 +116,27 @@ void write_stream_header(Socket& sock, Channel channel, int timeout_ms);
 void write_frame(Socket& sock, std::uint8_t type,
                  std::span<const std::uint8_t> payload, int timeout_ms);
 
-/// Largest frame payload a FrameReader accepts.
-inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
-/// A FrameReader's receive buffer, in bytes.
-inline constexpr std::size_t kReadBufferSize = 64u << 10;
-
-/// Strict framed reader over a socket.
+/// The one frame reader (service::codec::FrameReader) over a socket.
 ///
-/// It buffers: one read_some fills up to kReadBufferSize bytes, and
-/// frames are then cut, length-checked and CRC-checked in place, so a
-/// stream of small frames costs one poll + recv per buffer refill
-/// rather than several per frame. Because bytes past the current frame
+/// One read_some fills up to codec::kReadBufferSize bytes, and frames
+/// are cut and checked in place, so a stream of small frames costs one
+/// poll + recv per buffer refill. Because bytes past the current frame
 /// may already sit in its buffer, the reader owns the socket's read
 /// side once constructed: read nothing else from `sock` afterwards
 /// (read the stream header first).
-///
-/// A frame's length prefix is checked against kMaxFramePayload before
-/// the buffer grows to fit it (a torn length prefix must not look like
-/// a 4 GB frame); the buffer grows only for a single frame larger than
-/// kReadBufferSize, and never past kMaxFramePayload plus the frame's
-/// 9 framing bytes.
-class FrameReader {
+class FrameReader : public service::codec::FrameReader<WireError> {
  public:
-  explicit FrameReader(Socket& sock);
+  explicit FrameReader(Socket& sock) : sock_(sock) {}
 
   /// The next frame, or nullopt on orderly peer close at a frame
   /// boundary (nothing buffered). Throws WireError (torn frame / CRC
   /// mismatch / oversized payload), TimeoutError when `timeout_ms`
-  /// passes before the frame is whole.
+  /// passes with no byte arriving (each refill waits afresh). A socket
+  /// failure after the frame's first byte reads as a torn frame.
   [[nodiscard]] std::optional<Frame> next(int timeout_ms);
 
-  /// Byte offset the next frame starts at (stream header excluded).
-  [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
-
  private:
-  bool fill(std::size_t want, int timeout_ms);
-
   Socket& sock_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t begin_ = 0;  ///< first byte of the next frame in buf_
-  std::size_t end_ = 0;    ///< one past the last byte read into buf_
-  std::int64_t offset_ = 0;
 };
 
 // --- net-only payload codecs ------------------------------------------------

@@ -159,24 +159,8 @@ void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
 // --- record codec -----------------------------------------------------------
 
 RecordType record_type(const EventRecord& record) {
-  struct Visitor {
-    RecordType operator()(const SessionMeta&) const {
-      return RecordType::kSessionMeta;
-    }
-    RecordType operator()(const PriceTickRecord&) const {
-      return RecordType::kPriceTick;
-    }
-    RecordType operator()(const WorkloadStepRecord&) const {
-      return RecordType::kWorkloadStep;
-    }
-    RecordType operator()(const RoutingDecisionRecord&) const {
-      return RecordType::kRoutingDecision;
-    }
-    RecordType operator()(const StorageActionRecord&) const {
-      return RecordType::kStorageAction;
-    }
-  };
-  return std::visit(Visitor{}, record);
+  // EventRecord lists the records in type order, 1..5.
+  return static_cast<RecordType>(record.index() + 1);
 }
 
 const char* record_type_name(std::uint8_t type) {
@@ -411,21 +395,17 @@ EventLogReader::EventLogReader(const std::string& path, obs::Taps taps)
   if (!in_) {
     throw EventLogError("cannot open event log " + path, 0);
   }
+  obs::Counter crc_failures;
   if (taps.metrics != nullptr) {
     m_frames_ = taps.metrics->counter("cebis_eventlog_frames_read_total",
                                       "Frames decoded from the binary event log");
     m_bytes_ = taps.metrics->counter("cebis_eventlog_bytes_read_total",
                                      "Bytes decoded from the binary event log "
                                      "(frames only, header excluded)");
-    m_crc_failures_ =
+    crc_failures =
         taps.metrics->counter("cebis_eventlog_crc_failures_total",
                               "Frames rejected for a checksum mismatch");
   }
-  // The size bounds every frame's length prefix (next()). A stream that
-  // cannot seek fails the header read below.
-  in_.seekg(0, std::ios::end);
-  file_size_ = static_cast<std::int64_t>(in_.tellg());
-  in_.seekg(0);
   std::array<char, kHeaderSize> header{};
   in_.read(header.data(), header.size());
   if (in_.gcount() != static_cast<std::streamsize>(header.size())) {
@@ -443,65 +423,30 @@ EventLogReader::EventLogReader(const std::string& path, obs::Taps taps)
                             std::to_string(version),
                         static_cast<std::int64_t>(sizeof(kEventLogMagic)));
   }
-  offset_ = static_cast<std::int64_t>(kHeaderSize);
+  frames_ = std::make_unique<codec::FrameReader<EventLogError>>(
+      static_cast<std::int64_t>(kHeaderSize), crc_failures);
+}
+
+EventLogReader::~EventLogReader() = default;
+
+std::int64_t EventLogReader::offset() const noexcept {
+  return frames_->offset();
 }
 
 std::optional<EventRecord> EventLogReader::next() {
   const obs::Tracer::Span span =
       obs::maybe_span(tracer_, "eventlog/read", "eventlog");
-  const std::int64_t frame_offset = offset_;
-  std::uint8_t type = 0;
-  in_.read(reinterpret_cast<char*>(&type), 1);
-  if (in_.gcount() == 0) {
-    return std::nullopt;  // clean end-of-log: EOF exactly on a frame boundary
-  }
-  std::uint32_t payload_len = 0;
-  in_.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(payload_len))) {
-    throw EventLogError(
-        std::string("torn frame: end of file inside the header of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
-  }
-  // The prefix is 32 bits, so one corrupt length could claim a 4 GiB
-  // frame: check it, plus the checksum, against the bytes the file has
-  // left BEFORE sizing a buffer from it.
-  const std::int64_t left = file_size_ - frame_offset - 1 -
-                            static_cast<std::int64_t>(sizeof(payload_len));
-  if (std::int64_t{payload_len} + 4 > left) {  // + the u32 checksum
-    throw EventLogError(
-        std::string("torn frame: the length prefix of a ") +
-            record_type_name(type) + " frame claims " +
-            std::to_string(payload_len) + " payload bytes, but only " +
-            std::to_string(left) + " bytes (payload and checksum) follow it",
-        frame_offset);
-  }
-  // The frame buffer is reused: it grows to the largest frame so far.
-  frame_.resize(codec::kFrameHeaderSize + payload_len);
-  frame_[0] = type;
-  std::memcpy(frame_.data() + 1, &payload_len, sizeof(payload_len));
-  in_.read(reinterpret_cast<char*>(frame_.data() + codec::kFrameHeaderSize),
-           payload_len);
-  std::uint32_t stored_crc = 0;
-  in_.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-  if (!in_) {  // the file shrank after it was opened
-    throw EventLogError(std::string("torn frame: end of file inside a ") +
-                            record_type_name(type) + " frame",
-                        frame_offset);
-  }
-  const std::uint32_t computed = crc32(frame_.data(), frame_.size());
-  if (computed != stored_crc) {
-    m_crc_failures_.add();
-    throw EventLogError(std::string("CRC mismatch in a ") +
-                            record_type_name(type) + " frame",
-                        frame_offset);
-  }
-  const std::size_t frame_size = frame_.size() + sizeof(stored_crc);
-  offset_ = frame_offset + static_cast<std::int64_t>(frame_size);
+  const std::int64_t frame_offset = frames_->offset();
+  const std::optional<codec::Frame> frame =
+      frames_->next([this](std::uint8_t* dst, std::size_t max) {
+        in_.read(reinterpret_cast<char*>(dst),
+                 static_cast<std::streamsize>(max));
+        return static_cast<std::size_t>(in_.gcount());
+      });
+  if (!frame) return std::nullopt;
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(frame_size));
-  return decode_record(
-      type, std::span(frame_).subspan(codec::kFrameHeaderSize), frame_offset);
+  m_bytes_.add(static_cast<double>(frames_->offset() - frame_offset));
+  return decode_record(frame->type, frame->payload, frame_offset);
 }
 
 RecordedSession read_session(const std::string& path) {

@@ -19,13 +19,14 @@
 //   frame    := u8 type | u32 payload_len | payload | u32 crc32
 //   crc32    := IEEE 802.3 CRC of (type | payload_len | payload)
 //
-// The reader is strict: a torn final frame (EOF mid-frame), a CRC
-// mismatch, an unknown record type or a malformed payload all raise
-// EventLogError naming the byte offset of the offending frame - never a
-// silent partial replay.
+// The reader is strict: a torn final frame (EOF mid-frame), an oversized
+// length prefix, a CRC mismatch, an unknown record type or a malformed
+// payload all raise EventLogError naming the byte offset of the
+// offending frame - never a silent partial replay.
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -178,6 +179,13 @@ class EventLogWriter {
   obs::Tracer* tracer_ = nullptr;
 };
 
+namespace codec {
+template <typename Error>
+class FrameReader;
+}  // namespace codec
+
+/// The one frame reader (codec::FrameReader) over a log file, plus
+/// decode_record.
 class EventLogReader {
  public:
   /// Opens `path` and validates the header (magic + version). Throws
@@ -186,26 +194,22 @@ class EventLogReader {
   /// plus a CRC-failure counter (bumped before the EventLogError is
   /// raised) and a span per frame read; parsing is independent of it.
   explicit EventLogReader(const std::string& path, obs::Taps taps = {});
+  ~EventLogReader();
 
   /// The next record, or nullopt at clean end-of-log. Throws
   /// EventLogError on a torn frame (including a length prefix reaching
-  /// past the end of the file), CRC mismatch, unknown type or malformed
-  /// payload.
+  /// past the end of the file), an oversized length prefix, a CRC
+  /// mismatch, an unknown type or a malformed payload.
   [[nodiscard]] std::optional<EventRecord> next();
 
   /// Byte offset the next frame starts at.
-  [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
+  [[nodiscard]] std::int64_t offset() const noexcept;
 
  private:
   std::ifstream in_;
-  std::int64_t file_size_ = 0;
-  std::int64_t offset_ = 0;
-  /// The current frame (type through payload), reused; next() decodes
-  /// the payload straight out of it.
-  std::vector<std::uint8_t> frame_;
+  std::unique_ptr<codec::FrameReader<EventLogError>> frames_;
   obs::Counter m_frames_;
   obs::Counter m_bytes_;
-  obs::Counter m_crc_failures_;
   obs::Tracer* tracer_ = nullptr;
 };
 
@@ -230,20 +234,15 @@ struct RecordedSession {
 // can append ingested frames verbatim and replay-equals-live holds for
 // socket sessions.
 //
-// One framing routine (codec::frame in service/codec.h) writes every
-// frame: the type, a length placeholder, the payload appended in place
-// by the record's encoder, the patched length, the CRC. The log writer
-// and the feeder each keep one frame buffer, and the server one payload
-// buffer for its per-step frames, so framing a record allocates nothing
-// once the buffer has grown to the largest frame; the subscriber hub
-// frames a payload only when someone subscribes. encode_record(record)
-// is the call for an owned payload vector (benches, tests); it runs the
-// same encoders.
-
-/// IEEE 802.3 CRC-32 (reflected polynomial 0xEDB88320; the frame
-/// checksum), computed slicing-by-8: eight bytes per step through eight
-/// lookup tables, then a bytewise tail.
-[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+// service/codec.h owns the frame format. One framing routine
+// (codec::frame) writes every frame: the type, a length placeholder,
+// the payload appended in place by the record's encoder, the patched
+// length, the CRC. Framing a record into a reused buffer allocates
+// nothing once it has grown to the largest frame. One frame reader
+// (codec::FrameReader) reads every frame, from a log file or a socket,
+// and hands out each payload as a view of its own buffer, which grows
+// only as a larger frame's bytes arrive. encode_record(record) is the
+// call for an owned payload vector (benches, tests).
 
 /// Appends one frame, `u8 type | u32 payload_len | payload | u32 crc32`,
 /// around an already-encoded `payload` to `out`.

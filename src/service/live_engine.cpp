@@ -15,13 +15,14 @@ namespace cebis::service {
 
 namespace {
 
-/// Records each step's routing decision (per-cluster routed load) and,
-/// when storage is engaged, the batteries' state-of-charge deltas.
-/// Attached last, after the StorageController, so the deltas reflect
-/// this step's charge/discharge.
+/// Keeps each step's routing decision (per-cluster routed load) for
+/// LiveEngine::last_decision and, when there is a log, writes it and
+/// the batteries' state-of-charge deltas there. Always attached, and
+/// last, after the StorageController, so the deltas reflect this step's
+/// charge/discharge.
 class EventLogObserver final : public core::StepObserver {
  public:
-  EventLogObserver(EventLogWriter& log,
+  EventLogObserver(EventLogWriter* log,
                    const storage::StorageController* controller)
       : log_(log), controller_(controller) {}
 
@@ -39,7 +40,8 @@ class EventLogObserver final : public core::StepObserver {
     decision_.step = view.step;
     const std::span<const double> totals = view.allocation.cluster_totals();
     decision_.cluster_load.assign(totals.begin(), totals.end());
-    log_.write(decision_);
+    if (log_ == nullptr) return;
+    log_->write(decision_);
 
     if (controller_ != nullptr) {
       action_.step = view.step;
@@ -50,34 +52,21 @@ class EventLogObserver final : public core::StepObserver {
         action_.soc_delta_mwh[c] = soc - prev_soc_[c];
         prev_soc_[c] = soc;
       }
-      log_.write(action_);
+      log_->write(action_);
     }
   }
 
- private:
-  EventLogWriter& log_;
-  const storage::StorageController* controller_;
-  std::vector<double> prev_soc_;
-  // Reused every step, so logging a step allocates nothing.
-  RoutingDecisionRecord decision_;
-  StorageActionRecord action_;
-};
-
-/// Keeps the last step's per-cluster routed load readable between
-/// steps (LiveEngine::last_cluster_load, published per step by the
-/// network subscriber stream). Always attached; read-only on StepView,
-/// so results are unaffected.
-class DecisionCapture final : public core::StepObserver {
- public:
-  void on_step(const core::StepView& view) override {
-    const std::span<const double> totals = view.allocation.cluster_totals();
-    last_.assign(totals.begin(), totals.end());
+  [[nodiscard]] const RoutingDecisionRecord& decision() const noexcept {
+    return decision_;
   }
 
-  [[nodiscard]] std::span<const double> last() const noexcept { return last_; }
-
  private:
-  std::vector<double> last_;
+  EventLogWriter* log_;
+  const storage::StorageController* controller_;
+  std::vector<double> prev_soc_;
+  // Reused every step, so recording a step allocates nothing.
+  RoutingDecisionRecord decision_;
+  StorageActionRecord action_;
 };
 
 }  // namespace
@@ -146,13 +135,9 @@ struct LiveEngine::Impl {
   core::SimulationEngine engine;
   std::unique_ptr<core::Router> router;
 
-  // Always-on capture of the last routing decision (cheap copy of the
-  // per-cluster totals; see LiveEngine::last_cluster_load).
-  DecisionCapture capture;
-
-  // Optional observers, attachment order: capture, recorder, storage
-  // controller, log observer (last, so it sees post-controller battery
-  // state).
+  // Observers, attachment order: recorder and storage controller when
+  // configured, then the log observer, always (last, so it sees
+  // post-controller battery state).
   std::unique_ptr<core::HourlyEnergyRecorder> recorder;
   std::unique_ptr<storage::StorageController> controller;
   std::unique_ptr<EventLogObserver> log_observer;
@@ -243,7 +228,6 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
     }
   }
 
-  im.observers.push_back(&im.capture);
   if (config.record_hourly_energy) {
     im.recorder =
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
@@ -254,11 +238,9 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
         *config.storage, config.taps.metrics);
     im.observers.push_back(im.controller.get());
   }
-  if (log != nullptr) {
-    im.log_observer =
-        std::make_unique<EventLogObserver>(*log, im.controller.get());
-    im.observers.push_back(im.log_observer.get());
-  }
+  im.log_observer =
+      std::make_unique<EventLogObserver>(log, im.controller.get());
+  im.observers.push_back(im.log_observer.get());
 
   static_cast<SessionSpec&>(meta_) = config;
   meta_.seed = fixture.seed;
@@ -388,8 +370,8 @@ std::int64_t LiveEngine::needed_end() const noexcept {
   return impl_->needed_end_for(k);
 }
 
-std::span<const double> LiveEngine::last_cluster_load() const noexcept {
-  return impl_->capture.last();
+const RoutingDecisionRecord& LiveEngine::last_decision() const noexcept {
+  return impl_->log_observer->decision();
 }
 
 std::span<const HubId> LiveEngine::tracked_hubs() const noexcept {

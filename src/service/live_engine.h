@@ -148,9 +148,10 @@ class LiveEngine {
   [[nodiscard]] std::int64_t sealed_end() const noexcept;
   /// One-past-the-last absolute interval the NEXT step needs sealed.
   [[nodiscard]] std::int64_t needed_end() const noexcept;
-  /// Per-cluster routed load of the most recent advance() (empty before
-  /// the first). The network subscriber stream publishes this per step.
-  [[nodiscard]] std::span<const double> last_cluster_load() const noexcept;
+  /// The routing decision of the most recent advance() (empty loads
+  /// before the first): the record the log carries for the step, and
+  /// the one the network subscriber stream publishes.
+  [[nodiscard]] const RoutingDecisionRecord& last_decision() const noexcept;
   /// The tick stream's tracked hubs and, parallel to them, the next
   /// absolute interval each hub must settle (the resume cursor a
   /// reconnecting feeder picks up from; see market::TickAssembler).

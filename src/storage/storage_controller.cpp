@@ -39,7 +39,11 @@ void StorageController::begin_month(int month) {
   const HourIndex lo = std::max(month_begin(month), period_.begin);
   const HourIndex hi = std::min(month_end(month), period_.end);
   month_intervals_ = std::max<std::int64_t>(0, hi - lo) * meter_sph_;
-  for (auto& stats : month_raw_stats_) stats.clear();
+  // The exact guard inserts each of the month's intervals once, so its
+  // heaps never grow mid-month.
+  const auto room = static_cast<std::size_t>(
+      guard_peaks_ && exact_guard_ ? month_intervals_ : 0);
+  for (auto& stats : month_raw_stats_) stats.clear(room);
 }
 
 void StorageController::on_run_begin(const core::RunInfo& info,

@@ -47,6 +47,7 @@
 // via ScenarioSpec::storage (run_scenarios attaches one per run), but
 // it can be attached by hand like any StepObserver.
 
+#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -69,9 +70,13 @@ namespace cebis::storage {
 /// months (8928 five-minute intervals in a 31-day month).
 class RunningOrderStatistic {
  public:
-  void clear() {
-    low_ = {};
-    high_ = {};
+  /// Empties the multiset, keeping the heaps' storage, and makes room
+  /// for `n` elements: inserting that many allocates nothing.
+  void clear(std::size_t n) {
+    low_.c.clear();
+    high_.c.clear();
+    low_.c.reserve(n);
+    high_.c.reserve(n);
   }
   void insert(double x) {
     if (!low_.empty() && x <= low_.top()) {
@@ -98,8 +103,13 @@ class RunningOrderStatistic {
   }
 
  private:
-  std::priority_queue<double> low_;  // max-heap: the smallest elements
-  std::priority_queue<double, std::vector<double>, std::greater<>> high_;
+  /// A heap whose vector (the adaptor's protected `c`) is reachable.
+  template <typename Order>
+  struct Heap : std::priority_queue<double, std::vector<double>, Order> {
+    using std::priority_queue<double, std::vector<double>, Order>::c;
+  };
+  Heap<std::less<>> low_;  // max-heap: the smallest elements
+  Heap<std::greater<>> high_;
 };
 
 class StorageController final : public core::StepObserver {

@@ -5,10 +5,12 @@
 // - which may size scratch space such as a router's plan - and pins
 // every later step at zero allocations. The live half runs a logged
 // LiveEngine session the way the server drives one and pins its price
-// ticks at zero and its steps at the blocks named below, and the
-// subscriber hub's publish at zero when nobody subscribes. A count does
-// not drift with the host's speed, so it gates hard where a timing
-// cannot.
+// ticks at zero and its steps at the one block named below, and the
+// subscriber hub's publish at zero when nobody subscribes. The read
+// half pins the one frame reader: zero allocations per price-tick frame
+// off a socket and out of a log file, and no large block for a length
+// prefix that lies. A count does not drift with the host's speed, so it
+// gates hard where a timing cannot.
 //
 // The replacement forwards to malloc/free, so the sanitizers still see
 // every block; every new/delete form that could otherwise pair a
@@ -21,10 +23,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <exception>
+#include <fstream>
 #include <memory>
 #include <new>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -32,7 +38,10 @@
 #include "core/simulation.h"
 #include "core/workload.h"
 #include "net/feed_client.h"
+#include "net/socket.h"
 #include "net/subscriber_hub.h"
+#include "net/wire.h"
+#include "service/codec.h"
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "test_support.h"
@@ -40,11 +49,17 @@
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< the largest block asked for
 
 // Out of line, so that GCC does not see malloc and free paired with
 // new and delete at inlined call sites (-Wmismatched-new-delete).
 [[gnu::noinline]] void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
   return std::malloc(size == 0 ? 1 : size);
 }
 [[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
@@ -243,7 +258,7 @@ TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
   std::int64_t tick_allocations = 0;
   std::int64_t steps = 0;
   std::int64_t step_allocations = 0;
-  std::int64_t growth_steps = 0;
+  std::int64_t other_steps = 0;
   for (const service::EventRecord& record : feed) {
     if (const auto* tick = std::get_if<service::PriceTickRecord>(&record)) {
       const std::int64_t before = allocations();
@@ -265,7 +280,7 @@ TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
       const std::int64_t made = allocations() - before;
       step_allocations += made;
       ++steps;
-      if (made != 1) ++growth_steps;
+      if (made != 1) ++other_steps;
     }
   }
   ASSERT_TRUE(live.done());
@@ -275,16 +290,15 @@ TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
   // A tick is assembled and logged through reused buffers.
   EXPECT_EQ(tick_allocations, 0) << "over " << ticks << " ticks";
 
-  // A step makes exactly one allocation: the std::vector that
+  // Every step makes exactly one allocation: the std::vector that
   // Router::counters() returns, read for the plan-rebuild telemetry.
   // Logging the step, its decision and its battery action reuses member
-  // records and the writer's frame buffer. The exceptions are the steps
-  // on which StorageController's month series grows: each battery's
-  // running order statistic (two heaps per cluster) doubles its storage
-  // as the month's intervals accumulate. These counts were measured; a
-  // new per-step allocation anywhere on the path raises every step.
-  EXPECT_LE(growth_steps, 16) << "steps whose count is not 1";
-  EXPECT_LE(step_allocations, 731) << "over " << steps << " steps";
+  // records and the writer's frame buffer, and each battery's running
+  // order statistic reserved the month's intervals when the month
+  // began. A new per-step allocation anywhere on the path raises every
+  // step.
+  EXPECT_EQ(other_steps, 0) << "steps whose count is not 1";
+  EXPECT_EQ(step_allocations, steps);
 }
 
 TEST(AllocFreeLive, HubPublishWithoutSubscribersAllocatesNothing) {
@@ -298,6 +312,131 @@ TEST(AllocFreeLive, HubPublishWithoutSubscribersAllocatesNothing) {
   }
   EXPECT_EQ(allocations() - before, 0);
   hub.stop();
+}
+
+// --- the read half -----------------------------------------------------------
+
+/// A connected loopback socket pair (client side / accepted side).
+struct SocketPair {
+  net::Listener listener{0};
+  net::Socket client;
+  net::Socket server;
+
+  SocketPair()
+      : client(net::connect_to("127.0.0.1", listener.port(), 2000)),
+        server(listener.accept().value()) {}
+};
+
+/// `n` price-tick frames, framed as the feeder and the log writer frame
+/// them.
+std::vector<std::uint8_t> tick_frames(int n) {
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < n; ++i) {
+    service::codec::frame_record(
+        bytes, service::RecordType::kPriceTick,
+        service::PriceTickRecord{HubId(i % 9), i, 30.0 + i % 50});
+  }
+  return bytes;
+}
+
+// More ticks than one buffer holds, so the reader refills it mid-frame.
+constexpr int kTickFrames = 5000;
+
+TEST(AllocFreeRead, SocketTickFramesAllocateNothing) {
+  const std::vector<std::uint8_t> bytes = tick_frames(kTickFrames);
+  ASSERT_GT(bytes.size(), service::codec::kReadBufferSize);
+  SocketPair pair;
+  std::thread writer([&] {
+    try {
+      pair.client.write_all(bytes.data(), bytes.size(), 10'000);
+    } catch (const net::NetError& e) {
+      ADD_FAILURE() << "writer: " << e.what();
+    }
+    pair.client.close();
+  });
+  int frames = 0;
+  std::int64_t made = 0;
+  try {
+    net::FrameReader reader(pair.server);
+    if (reader.next(10'000)) ++frames;  // the first frame may size things
+    const std::int64_t before = allocations();
+    while (reader.next(10'000)) ++frames;
+    made = allocations() - before;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "reader: " << e.what();
+  }
+  pair.server.close();  // a reader that stopped early unblocks the writer
+  writer.join();
+  EXPECT_EQ(frames, kTickFrames);
+  EXPECT_EQ(made, 0) << "over " << frames - 1 << " frames";
+}
+
+TEST(AllocFreeRead, LogTickFramesAllocateNothing) {
+  test::TempFile file("alloc_free_read.eventlog");
+  {
+    service::EventLogWriter log(file.path());
+    for (int i = 0; i < kTickFrames; ++i) {
+      log.write(service::PriceTickRecord{HubId(i % 9), i, 30.0 + i % 50});
+    }
+    log.close();
+  }
+  service::EventLogReader reader(file.path());
+  ASSERT_TRUE(reader.next().has_value());  // the first frame may size things
+  int frames = 1;
+  const std::int64_t before = allocations();
+  while (reader.next()) ++frames;
+  const std::int64_t made = allocations() - before;
+  EXPECT_EQ(frames, kTickFrames);
+  EXPECT_EQ(made, 0) << "over " << frames - 1 << " frames";
+}
+
+/// A frame header that claims the largest payload a reader accepts, and
+/// nothing behind it.
+std::vector<std::uint8_t> lying_header() {
+  std::vector<std::uint8_t> bytes;
+  service::codec::put(bytes, service::RecordType::kPriceTick);
+  service::codec::put(bytes, service::codec::kMaxFramePayload);
+  return bytes;
+}
+
+constexpr std::size_t kLargeBlock = 256u << 10;
+
+TEST(AllocFreeRead, LyingLengthPrefixOnASocketAllocatesNoLargeBlock) {
+  const std::vector<std::uint8_t> bytes = lying_header();
+  SocketPair pair;
+  pair.client.write_all(bytes.data(), bytes.size(), 2000);
+  pair.client.close();
+  g_largest.store(0, std::memory_order_relaxed);
+  net::FrameReader reader(pair.server);
+  try {
+    (void)reader.next(2000);
+    FAIL() << "a header with nothing behind it must not read back";
+  } catch (const net::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LE(g_largest.load(std::memory_order_relaxed), kLargeBlock);
+}
+
+TEST(AllocFreeRead, LyingLengthPrefixInALogAllocatesNoLargeBlock) {
+  test::TempFile file("alloc_free_lying.eventlog");
+  service::EventLogWriter(file.path()).close();
+  {
+    const std::vector<std::uint8_t> bytes = lying_header();
+    std::ofstream out(file.path(), std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  g_largest.store(0, std::memory_order_relaxed);
+  service::EventLogReader reader(file.path());
+  try {
+    (void)reader.next();
+    FAIL() << "a header with nothing behind it must not read back";
+  } catch (const service::EventLogError& e) {
+    EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LE(g_largest.load(std::memory_order_relaxed), kLargeBlock);
 }
 
 }  // namespace

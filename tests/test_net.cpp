@@ -1,9 +1,10 @@
 // The network transport's contracts, all over real loopback sockets:
 //
 //   - the wire codec round-trips and the strict FrameReader rejects
-//     torn, corrupt and oversized frames with byte-offset provenance
-//     (mirroring the event log's reader discipline), reading the same
-//     frames however the stream is chunked into writes;
+//     torn, corrupt and oversized frames with byte-offset provenance,
+//     reading the same frames however the stream is chunked into
+//     writes, and the same records and errors as the event log's reader
+//     on every mutated stream;
 //   - a full socket-fed session is indistinguishable from an
 //     in-process one: the event log the server writes is BYTE-IDENTICAL
 //     to the log an in-process LiveEngine writes over the same feed,
@@ -32,9 +33,12 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <fstream>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,6 +55,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/codec.h"
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "service/replay.h"
@@ -284,7 +289,7 @@ TEST(NetWireTest, FrameReaderRejectsOversizedPayloadBeforeAllocating) {
   SocketPair pair;
   std::vector<std::uint8_t> bytes = {static_cast<std::uint8_t>(
       NetFrameType::kTelemetry)};
-  const std::uint32_t huge = kMaxFramePayload + 1;
+  const std::uint32_t huge = service::codec::kMaxFramePayload + 1;
   bytes.resize(1 + sizeof(huge));
   std::memcpy(bytes.data() + 1, &huge, sizeof(huge));
   pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
@@ -300,11 +305,23 @@ TEST(NetWireTest, FrameReaderTimesOutMidFrame) {
   EXPECT_THROW((void)reader.next(100), TimeoutError);
 }
 
+/// A frame with its own copy of the payload (a Frame views the reader's
+/// buffer).
+struct OwnedFrame {
+  std::uint8_t type = 0;
+  std::vector<std::uint8_t> payload;
+  bool operator==(const OwnedFrame&) const = default;
+};
+
+std::vector<std::uint8_t> owned(std::span<const std::uint8_t> payload) {
+  return {payload.begin(), payload.end()};
+}
+
 /// Frames as a feeder sends them: a SessionMeta, price ticks, a 51-state
 /// WorkloadStep, one step larger than the reader's receive buffer, more
 /// ticks and an empty FeedEnd.
-std::vector<Frame> mixed_frames() {
-  std::vector<Frame> frames;
+std::vector<OwnedFrame> mixed_frames() {
+  std::vector<OwnedFrame> frames;
   const auto add = [&](const service::EventRecord& record) {
     const auto type = static_cast<std::uint8_t>(service::record_type(record));
     frames.push_back({type, service::encode_record(record)});
@@ -324,16 +341,19 @@ std::vector<Frame> mixed_frames() {
   service::WorkloadStepRecord step{0, std::vector<double>(51)};
   for (double& d : step.demand) d = rng.uniform(0.0, 5000.0);
   add(step);
-  const std::size_t large = kReadBufferSize / sizeof(double) + 100;
+  const std::size_t large =
+      service::codec::kReadBufferSize / sizeof(double) + 100;
   add(service::WorkloadStepRecord{1, std::vector<double>(large, 1.5)});
   add_ticks(40, 80);
   frames.push_back({static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {}});
   return frames;
 }
 
-std::vector<std::uint8_t> stream_of(const std::vector<Frame>& frames) {
+std::vector<std::uint8_t> stream_of(const std::vector<OwnedFrame>& frames) {
   std::vector<std::uint8_t> bytes;
-  for (const Frame& f : frames) service::append_frame(bytes, f.type, f.payload);
+  for (const OwnedFrame& f : frames) {
+    service::append_frame(bytes, f.type, f.payload);
+  }
   return bytes;
 }
 
@@ -342,13 +362,13 @@ constexpr std::size_t kFramingBytes = 9;
 
 /// Reads every frame of `want` back with the same type, payload and
 /// offset(), then the peer's clean close.
-void expect_frames(FrameReader& reader, const std::vector<Frame>& want) {
+void expect_frames(FrameReader& reader, const std::vector<OwnedFrame>& want) {
   std::int64_t offset = 0;
   for (std::size_t i = 0; i < want.size(); ++i) {
     std::optional<Frame> got = reader.next(kIoMs);
     ASSERT_TRUE(got.has_value()) << "frame " << i << " of " << want.size();
     EXPECT_EQ(got->type, want[i].type) << "frame " << i;
-    EXPECT_EQ(got->payload, want[i].payload) << "frame " << i;
+    EXPECT_EQ(owned(got->payload), want[i].payload) << "frame " << i;
     offset += static_cast<std::int64_t>(kFramingBytes + want[i].payload.size());
     EXPECT_EQ(reader.offset(), offset) << "frame " << i;
   }
@@ -356,9 +376,9 @@ void expect_frames(FrameReader& reader, const std::vector<Frame>& want) {
 }
 
 TEST(NetWireTest, FrameReaderReadsTheSameFramesHoweverTheStreamIsChunked) {
-  const std::vector<Frame> frames = mixed_frames();
+  const std::vector<OwnedFrame> frames = mixed_frames();
   const std::vector<std::uint8_t> bytes = stream_of(frames);
-  ASSERT_GT(bytes.size(), kReadBufferSize);
+  ASSERT_GT(bytes.size(), service::codec::kReadBufferSize);
 
   // The write sizes: the whole stream at once, one byte at a time, and
   // seeded random chunks.
@@ -396,9 +416,9 @@ TEST(NetWireTest, FrameReaderReadsTheSameFramesHoweverTheStreamIsChunked) {
 TEST(NetWireTest, FrameReaderHandsOutBufferedFramesAfterPeerClose) {
   // The stream and the close both arrive before the first read: every
   // frame comes back before the close does.
-  std::vector<Frame> frames = mixed_frames();
-  std::erase_if(frames, [](const Frame& f) {
-    return f.payload.size() > kReadBufferSize;
+  std::vector<OwnedFrame> frames = mixed_frames();
+  std::erase_if(frames, [](const OwnedFrame& f) {
+    return f.payload.size() > service::codec::kReadBufferSize;
   });
   const std::vector<std::uint8_t> bytes = stream_of(frames);
   SocketPair pair;
@@ -411,7 +431,7 @@ TEST(NetWireTest, FrameReaderHandsOutBufferedFramesAfterPeerClose) {
 TEST(NetWireTest, FrameReaderNamesTheBadFrameBehindWholeOnes) {
   // Three whole frames, then a bad fourth in the same write: the three
   // read back, and the error names the offset where the fourth began.
-  const std::vector<Frame> frames = mixed_frames();
+  const std::vector<OwnedFrame> frames = mixed_frames();
   std::vector<std::uint8_t> head;
   for (int i = 0; i < 3; ++i) {
     service::append_frame(head, frames[i].type, frames[i].payload);
@@ -422,7 +442,7 @@ TEST(NetWireTest, FrameReaderNamesTheBadFrameBehindWholeOnes) {
   std::vector<std::uint8_t> bad_crc = tick;
   bad_crc.back() ^= 0x01;
   std::vector<std::uint8_t> oversized(tick.begin(), tick.begin() + 5);
-  const std::uint32_t huge = kMaxFramePayload + 1;
+  const std::uint32_t huge = service::codec::kMaxFramePayload + 1;
   std::memcpy(oversized.data() + 1, &huge, sizeof(huge));
   const std::vector<std::uint8_t> torn_header(tick.begin(), tick.begin() + 3);
   const std::vector<std::uint8_t> torn_body(tick.begin(), tick.end() - 2);
@@ -446,7 +466,7 @@ TEST(NetWireTest, FrameReaderNamesTheBadFrameBehindWholeOnes) {
     for (int i = 0; i < 3; ++i) {
       const std::optional<Frame> frame = reader.next(kIoMs);
       ASSERT_TRUE(frame.has_value());
-      EXPECT_EQ(frame->payload, frames[i].payload);
+      EXPECT_EQ(owned(frame->payload), frames[i].payload);
     }
     try {
       (void)reader.next(kIoMs);
@@ -457,6 +477,178 @@ TEST(NetWireTest, FrameReaderNamesTheBadFrameBehindWholeOnes) {
           << e.what();
     }
   }
+}
+
+/// How a stream read back: each record (type and payload, re-encoded),
+/// then how it ended - an empty message for a clean end, else the
+/// error's message without its " (byte offset N)" suffix, and N counted
+/// from the first frame.
+struct ReadBack {
+  std::vector<OwnedFrame> records;
+  std::string error;
+  std::int64_t error_offset = -1;
+
+  void add(const service::EventRecord& record) {
+    records.push_back({static_cast<std::uint8_t>(service::record_type(record)),
+                       service::encode_record(record)});
+  }
+  void end(const service::EventLogError& e, std::int64_t first_frame_at) {
+    const std::string what = e.what();
+    error = what.substr(0, what.rfind(" (byte offset "));
+    error_offset = e.byte_offset() - first_frame_at;
+  }
+  [[nodiscard]] std::string str() const {
+    return std::to_string(records.size()) + " records, then \"" + error +
+           "\" at " + std::to_string(error_offset);
+  }
+  bool operator==(const ReadBack&) const = default;
+};
+
+/// `frames` as a log file: the 16-byte file header, then the frames,
+/// read back through EventLogReader.
+ReadBack read_as_log(const std::vector<std::uint8_t>& frames,
+                     const std::string& path) {
+  std::vector<std::uint8_t> bytes(std::begin(service::kEventLogMagic),
+                                  std::end(service::kEventLogMagic));
+  service::codec::put(bytes, service::kEventLogVersion);
+  service::codec::put(bytes, std::uint32_t{0});
+  const auto header = static_cast<std::int64_t>(bytes.size());
+  bytes.insert(bytes.end(), frames.begin(), frames.end());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  ReadBack back;
+  try {
+    service::EventLogReader reader(path);
+    while (std::optional<service::EventRecord> record = reader.next()) {
+      back.add(*record);
+    }
+  } catch (const service::EventLogError& e) {
+    back.end(e, header);
+  }
+  return back;
+}
+
+/// `frames` off a loopback socket, as the server reads its ingest
+/// stream: net::FrameReader, then decode_record.
+ReadBack read_off_socket(const std::vector<std::uint8_t>& frames,
+                         Listener& listener) {
+  Socket client = connect_to("127.0.0.1", listener.port(), kIoMs);
+  std::optional<Socket> server = listener.accept();
+  if (!server) throw NetError("accept failed");
+  client.write_all(frames.data(), frames.size(), kIoMs);
+  client.close();
+  FrameReader reader(*server);
+  ReadBack back;
+  try {
+    for (;;) {
+      const std::int64_t at = reader.offset();
+      const std::optional<Frame> frame = reader.next(kIoMs);
+      if (!frame) break;
+      back.add(service::decode_record(frame->type, frame->payload, at));
+    }
+  } catch (const service::EventLogError& e) {  // includes WireError
+    back.end(e, 0);
+  }
+  return back;
+}
+
+TEST(NetWireTest, FileAndSocketReadersAgreeOnMutatedStreams) {
+  // A short session stream, cut and corrupted every way a strict reader
+  // must survive. Read as a log file and off a socket, each mutated
+  // stream must yield the same records and end the same way: cleanly,
+  // or with the same message at the same offset from the first frame.
+  stats::Rng rng = test::test_rng(21);
+  std::vector<OwnedFrame> frames;
+  const auto add = [&](const service::EventRecord& record) {
+    frames.push_back({static_cast<std::uint8_t>(service::record_type(record)),
+                      service::encode_record(record)});
+  };
+  service::SessionMeta meta;
+  meta.period = {24, 26};
+  meta.n_states = 4;
+  meta.storage = core::StorageSpec{};
+  add(meta);
+  for (std::int64_t interval = 0; interval < 6; ++interval) {
+    add(service::PriceTickRecord{HubId(static_cast<std::int32_t>(interval % 3)),
+                                 interval, rng.uniform(10.0, 90.0)});
+  }
+  add(service::WorkloadStepRecord{0, {1.0, 2.5, 0.0, 4096.0}});
+  add(service::RoutingDecisionRecord{0, {3.5, 0.0, 4.0}});
+  add(service::StorageActionRecord{0, {0.25, -0.125, 0.0}});
+  const std::vector<std::uint8_t> stream = stream_of(frames);
+  std::vector<std::size_t> starts;  // where each frame begins
+  for (std::size_t at = 0, i = 0; i < frames.size(); ++i) {
+    starts.push_back(at);
+    at += kFramingBytes + frames[i].payload.size();
+  }
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> mutants;
+  for (std::size_t n = 0; n <= stream.size(); ++n) {
+    mutants.emplace_back("cut at " + std::to_string(n),
+                         std::vector<std::uint8_t>(stream.begin(),
+                                                   stream.begin() + n));
+  }
+  for (int i = 0; i < 300; ++i) {
+    std::vector<std::uint8_t> bytes = stream;
+    const std::size_t at = rng.index(bytes.size());
+    const auto mask = static_cast<std::uint8_t>(1 + rng.index(255));
+    bytes[at] ^= mask;
+    mutants.emplace_back("byte " + std::to_string(at) + " ^ " +
+                             std::to_string(mask),
+                         std::move(bytes));
+  }
+  for (const std::size_t start : starts) {
+    const auto past_the_data =
+        static_cast<std::uint32_t>(stream.size() + 1 - start - kFramingBytes);
+    for (const std::uint32_t claimed :
+         {std::uint32_t{0}, past_the_data, service::codec::kMaxFramePayload,
+          service::codec::kMaxFramePayload + 1, std::uint32_t{0xFFFFFFFFu}}) {
+      std::vector<std::uint8_t> bytes = stream;
+      std::memcpy(bytes.data() + start + 1, &claimed, sizeof(claimed));
+      mutants.emplace_back("length " + std::to_string(claimed) +
+                               " at frame " + std::to_string(start),
+                           std::move(bytes));
+    }
+  }
+  for (int i = 0; i < 100; ++i) {
+    // Corrupt one frame's payload and frame it again: the CRC holds, so
+    // only the payload decoder can object.
+    std::vector<OwnedFrame> corrupt = frames;
+    const std::size_t f = rng.index(corrupt.size());
+    std::vector<std::uint8_t>& payload = corrupt[f].payload;
+    const std::size_t at = rng.index(payload.size());
+    payload[at] ^= static_cast<std::uint8_t>(1 + rng.index(255));
+    mutants.emplace_back("payload byte " + std::to_string(at) + " of frame " +
+                             std::to_string(f) + ", CRC recomputed",
+                         stream_of(corrupt));
+  }
+
+  test::TempFile file("net_reader_parity.eventlog");
+  Listener listener(0);
+  // How many streams ended each way: every way must occur, so that no
+  // rule of the reader goes untried.
+  std::map<std::string, int> endings;
+  const char* const kinds[] = {"torn frame", "oversized frame",
+                               "CRC mismatch", "malformed"};
+  int mismatches = 0;
+  for (const auto& [label, bytes] : mutants) {
+    const ReadBack log = read_as_log(bytes, file.path());
+    const ReadBack wire = read_off_socket(bytes, listener);
+    if (log != wire && ++mismatches <= 5) {
+      ADD_FAILURE() << label << ": the log read " << log.str()
+                    << "; the socket read " << wire.str();
+    }
+    if (log.error.empty()) ++endings["clean end"];
+    for (const char* kind : kinds) {
+      if (log.error.starts_with(kind)) ++endings[kind];
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << mutants.size() << " mutated streams";
+  EXPECT_GT(endings["clean end"], 0);
+  for (const char* kind : kinds) EXPECT_GT(endings[kind], 0) << kind;
 }
 
 TEST(NetWireTest, StreamHeaderRejectsForeignBytes) {

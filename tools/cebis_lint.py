@@ -59,6 +59,14 @@ golden anchor ever drifts:
                       by name, so a name any other code uses (a local
                       variable, a std:: member of the same name) counts
                       as referenced.
+  frame-format-owner  The frame format has one owner: under src/, only
+                      service/codec.h (the framing routine and the one
+                      frame reader) and service/event_log.cpp (where
+                      crc32 is defined) may call crc32( or name
+                      kFrameHeaderSize. Code elsewhere that cuts or
+                      checks frames is a second reader, whose bounds
+                      and error wording drift from the first; read
+                      frames through codec::FrameReader instead.
 
 Waivers: a finding on line N is suppressed by a comment on line N or
 N-1 of the form
@@ -143,6 +151,7 @@ RULES = {
     "using-namespace": "`using namespace` in src/ or a header",
     "thread-detach": "detached thread in src/",
     "unreferenced-api": "public src/ function no product code names",
+    "frame-format-owner": "frame cut or checked outside service/codec.h",
     "waiver-missing-reason": "cebis-lint waiver without a reason",
 }
 
@@ -173,6 +182,9 @@ UNORDERED_DECL_RE = re.compile(
 SNAPSHOT_CALL_RE = re.compile(r"[.>]\s*snapshot\s*\(")
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
+FRAME_FORMAT_RE = re.compile(r"\bcrc32\s*\(|\bkFrameHeaderSize\b")
+# The files that may frame, cut and checksum frames.
+FRAME_FORMAT_OWNERS = {"src/service/codec.h", "src/service/event_log.cpp"}
 WAIVER_RE = re.compile(r"cebis-lint:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
 NODISCARD_DECL_RE = re.compile(
     r"^\s*(?:(?:virtual|static|constexpr|inline|friend|explicit)\s+)*"
@@ -375,6 +387,13 @@ def lint_file(rel: str, text: str) -> list[Finding]:
             report(idx, "using-namespace",
                    "`using namespace` leaks names into every includer "
                    "(header) or the whole library TU (src/)")
+        if (in_src and rel not in FRAME_FORMAT_OWNERS
+                and FRAME_FORMAT_RE.search(line)):
+            report(idx, "frame-format-owner",
+                   "crc32( or kFrameHeaderSize outside service/codec.h "
+                   "and service/event_log.cpp - a second place that cuts "
+                   "or checks frames drifts from the one reader; use "
+                   "codec::frame and codec::FrameReader")
         if in_src and DETACH_RE.search(line):
             report(idx, "thread-detach",
                    "detached threads outlive their owner and tear at "

@@ -212,6 +212,35 @@ class ThreadDetachRule(unittest.TestCase):
             rules_at("src/net/server.cpp", "worker.join();\n"), [])
 
 
+class FrameFormatOwnerRule(unittest.TestCase):
+    CRC = "if (service::crc32(bytes, crc_at) != stored_crc) {\n"
+    HEADER = "using service::codec::kFrameHeaderSize;\n"
+
+    def test_fires_outside_the_owners(self):
+        for text in (self.CRC, self.HEADER):
+            self.assertIn("frame-format-owner",
+                          rules_at("src/net/wire.cpp", text), text)
+        self.assertIn("frame-format-owner",
+                      rules_at("src/service/event_log.h",
+                               "std::uint32_t crc32(const std::uint8_t* d, "
+                               "std::size_t n);\n"))
+
+    def test_owners_may(self):
+        for rel in ("src/service/codec.h", "src/service/event_log.cpp"):
+            self.assertEqual(rules_at(rel, self.CRC + self.HEADER), [], rel)
+
+    def test_outside_src_is_fine(self):
+        self.assertEqual(rules_at("tests/test_event_log.cpp", self.CRC), [])
+
+    def test_comments_and_longer_names_do_not_fire(self):
+        text = ("// crc32(type | length | payload)\n"
+                "constexpr Crc32Tables t = make_crc32_tables();\n")
+        self.assertEqual(rules_at("src/net/wire.cpp", text), [])
+
+    def test_listed(self):
+        self.assertIn("frame-format-owner", cebis_lint.RULES)
+
+
 class UnreferencedApiRule(unittest.TestCase):
     HEADER = ("namespace cebis::stats {\n"
               "[[nodiscard]] double median(std::span<const double> xs);\n"
