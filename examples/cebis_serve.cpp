@@ -46,7 +46,8 @@ constexpr const char* kUsage =
     "                       cebis_session.eventlog)\n"
     "  --metrics-dir DIR    where to drop the final .prom/.json dumps\n"
     "                       (default .)\n"
-    "  --read-timeout-ms N  per-connection read deadline (default 5000)\n"
+    "  --read-timeout-ms N  per-frame read deadline (default 5000;\n"
+    "                       negative: none)\n"
     "  --queue-cap N        frames buffered per subscriber (default 256)\n"
     "  --no-shadow          skip the shadow baseline (no savings telemetry)\n"
     "  --replay-check       after the feed: replay the log, compare\n"

@@ -55,18 +55,14 @@ PriceAwareRouter::PriceAwareRouter(const geo::DistanceModel& distances,
     candidates_.push_back(std::move(sc));
   }
 
-  // Plan layout: each state's in-threshold candidates are a contiguous
-  // slice of main_order_, every state's full cluster order a fixed-width
-  // row of full_order_. main_order_ carries one slot past the last
-  // slice, because fill_order() writes a cluster before it decides to
-  // keep it.
-  main_offset_.resize(states + 1);
-  main_offset_[0] = 0;
-  for (std::size_t s = 0; s < states; ++s) {
-    main_offset_[s + 1] = main_offset_[s] +
-                          static_cast<std::uint32_t>(candidates_[s].within_threshold);
-  }
-  main_order_.resize(main_offset_.back() + 1);
+  // Plan layout: each state's orders are fixed-width rows of one slot
+  // per cluster. An in-threshold order shorter than its row leaves a
+  // spare slot of its own, which fill_order() may write past the kept
+  // clusters; orders are filled lazily and in any order, so no fill may
+  // reach into another state's row.
+  head_.resize(states);
+  main_order_.resize(states * cluster_count_);
+  main_epoch_.assign(states, -1);
   full_order_.resize(states * cluster_count_);
   full_epoch_.assign(states, -1);
   price_rank_.resize(cluster_count_);
@@ -117,25 +113,46 @@ void PriceAwareRouter::rebuild_orders(std::span<const double> price) {
   std::sort(first, last, by_price);
   rank_has_ties_ = std::adjacent_find(first, last, tied) != last;
 
+  // Each state's head, without filling its order: the state's cheapest
+  // candidate is its first in the ranking or, among equal prices, the
+  // closest - fill_order()'s first entry.
+  const std::uint32_t* const rank_end = price_rank_.data() + cluster_count_;
   for (std::size_t s = 0; s < candidates_.size(); ++s) {
     const StateCandidates& sc = candidates_[s];
-    const std::size_t n = sc.within_threshold;
-    std::uint32_t* const main = main_order_.data() + main_offset_[s];
-    fill_order(s, n, main);
+    const std::uint32_t* const pos = dist_pos_.data() + s * cluster_count_;
+    const std::uint32_t* c = price_rank_.data();
+    while (pos[*c] >= sc.within_threshold) ++c;
+    std::uint32_t cheapest = *c;
+    for (const std::uint32_t* t = c + 1;
+         t != rank_end && plan_price_[*t] == plan_price_[*c]; ++t) {
+      if (pos[*t] < pos[cheapest]) cheapest = *t;
+    }
 
     // Price threshold: if the cheapest candidate saves less than tau
     // against the *nearest* candidate, prefer the nearest (distance is
     // the default objective; tiny differentials are ignored).
     const auto nearest = static_cast<std::uint32_t>(sc.by_distance.front());
-    if (plan_price_[nearest] - plan_price_[main[0]] <
-        config_.price_threshold.value()) {
-      std::uint32_t* const it = std::find(main, main + n, nearest);
-      if (it != main && it != main + n) {
-        std::rotate(main, it, it + 1);  // move nearest to the front
-      }
-    }
+    head_[s] = plan_price_[nearest] - plan_price_[cheapest] <
+                       config_.price_threshold.value()
+                   ? nearest
+                   : cheapest;
   }
   plan_valid_ = true;
+}
+
+std::span<const std::uint32_t> PriceAwareRouter::main_order_for(
+    std::size_t state) {
+  // Built at most once per state per plan epoch: only for a state whose
+  // head was short of room.
+  const std::size_t n = candidates_[state].within_threshold;
+  std::uint32_t* const row = main_order_.data() + state * cluster_count_;
+  if (main_epoch_[state] != plan_rebuilds_) {
+    main_epoch_[state] = plan_rebuilds_;
+    fill_order(state, n, row);
+    std::uint32_t* const head = std::find(row, row + n, head_[state]);
+    std::rotate(row, head, head + 1);  // head to the front
+  }
+  return {row, n};
 }
 
 std::span<const std::uint32_t> PriceAwareRouter::full_order_for(std::size_t state) {
@@ -180,10 +197,16 @@ void PriceAwareRouter::route(const RoutingContext& ctx, Allocation& out) {
   for (std::size_t s = 0; s < candidates_.size(); ++s) {
     double remaining = ctx.demand[s];
     if (remaining <= 0.0) continue;
+    // The head takes the whole demand whenever it has room for it: the
+    // greedy pass below would place it all there and stop.
+    const std::uint32_t head = head_[s];
+    if (strict_limit_[head] - out.cluster_total(head) >= remaining) {
+      out.add(s, head, remaining);
+      continue;
+    }
     const StateCandidates& sc = candidates_[s];
     const std::size_t n = sc.within_threshold;
-    const std::span<const std::uint32_t> order(main_order_.data() + main_offset_[s],
-                                               n);
+    const std::span<const std::uint32_t> order = main_order_for(s);
 
     // Greedy assignment with iterative spill on capacity / 95-5 limits,
     // in the plan's price order (nearest preference pre-applied).

@@ -22,31 +22,12 @@ void Allocation::clear() {
   std::fill(totals_.begin(), totals_.end(), 0.0);
 }
 
-void Allocation::add(std::size_t state, std::size_t cluster, double hits) {
-  if (state >= states_ || cluster >= clusters_) {
-    throw std::out_of_range("Allocation::add");
-  }
-  if (hits < 0.0) throw std::invalid_argument("Allocation::add: negative hits");
-  if (hits == 0.0) return;
-  double& cell = hits_[state * clusters_ + cluster];
-  if (cell == 0.0) {
-    entries_.push_back(Entry{static_cast<std::uint32_t>(state),
-                             static_cast<std::uint32_t>(cluster)});
-  }
-  cell += hits;
-  totals_[cluster] += hits;
+void Allocation::out_of_range(const char* where) {
+  throw std::out_of_range(where);
 }
 
-double Allocation::hits(std::size_t state, std::size_t cluster) const {
-  if (state >= states_ || cluster >= clusters_) {
-    throw std::out_of_range("Allocation::hits");
-  }
-  return hits_[state * clusters_ + cluster];
-}
-
-double Allocation::cluster_total(std::size_t cluster) const {
-  if (cluster >= clusters_) throw std::out_of_range("Allocation::cluster_total");
-  return totals_[cluster];
+void Allocation::negative_hits() {
+  throw std::invalid_argument("Allocation::add: negative hits");
 }
 
 }  // namespace cebis::core

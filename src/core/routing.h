@@ -26,6 +26,11 @@ namespace cebis::core {
 /// typically assigns each state to one or two clusters, so clearing and
 /// walking the nonzero entries is ~50x less work than re-filling and
 /// re-scanning the whole matrix every 5-minute step.
+///
+/// The cell accessors a router calls for every placement - add(),
+/// cluster_total() and the checked hits() - are inline: a study step
+/// makes ~57 of them. They keep their bounds and sign checks, which
+/// throw from out-of-line helpers so the inlined bodies stay small.
 class Allocation {
  public:
   /// One nonzero cell of the assignment matrix.
@@ -38,14 +43,36 @@ class Allocation {
 
   /// Resets to all-zero; O(nonzero entries), not O(states x clusters).
   void clear();
-  void add(std::size_t state, std::size_t cluster, double hits);
 
-  [[nodiscard]] double hits(std::size_t state, std::size_t cluster) const;
+  void add(std::size_t state, std::size_t cluster, double hits) {
+    if (state >= states_ || cluster >= clusters_) {
+      out_of_range("Allocation::add");
+    }
+    if (hits < 0.0) negative_hits();
+    if (hits == 0.0) return;
+    double& cell = hits_[state * clusters_ + cluster];
+    if (cell == 0.0) {
+      entries_.push_back(Entry{static_cast<std::uint32_t>(state),
+                               static_cast<std::uint32_t>(cluster)});
+    }
+    cell += hits;
+    totals_[cluster] += hits;
+  }
+
+  [[nodiscard]] double hits(std::size_t state, std::size_t cluster) const {
+    if (state >= states_ || cluster >= clusters_) {
+      out_of_range("Allocation::hits");
+    }
+    return hits_[state * clusters_ + cluster];
+  }
   /// Unchecked lookup for entries obtained from nonzero().
   [[nodiscard]] double hits(const Entry& e) const noexcept {
     return hits_[e.state * clusters_ + e.cluster];
   }
-  [[nodiscard]] double cluster_total(std::size_t cluster) const;
+  [[nodiscard]] double cluster_total(std::size_t cluster) const {
+    if (cluster >= clusters_) out_of_range("Allocation::cluster_total");
+    return totals_[cluster];
+  }
   [[nodiscard]] std::span<const double> cluster_totals() const noexcept {
     return totals_;
   }
@@ -62,6 +89,9 @@ class Allocation {
   std::vector<double> hits_;    // [state][cluster]
   std::vector<double> totals_;  // [cluster]
   std::vector<Entry> entries_;  // nonzero cells of hits_
+
+  [[noreturn]] static void out_of_range(const char* where);
+  [[noreturn]] static void negative_hits();
 };
 
 /// Read-only inputs for one routing interval.

@@ -53,11 +53,9 @@ void SyntheticWorkload39::demand(std::int64_t step, std::span<double> out) const
   if (step < 0 || step >= period_.hours()) {
     throw std::out_of_range("SyntheticWorkload39::demand: bad step");
   }
-  const HourIndex hour = period_.begin + step;
+  const auto row = synth_.state_row(period_.begin + step);
   for (std::size_t s = 0; s < out.size(); ++s) {
-    out[s] =
-        synth_.demand(StateId{static_cast<std::int32_t>(s)}, hour).value() *
-        subset_fraction_[s];
+    out[s] = row[s] * subset_fraction_[s];
   }
 }
 

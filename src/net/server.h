@@ -55,8 +55,10 @@ struct ServerOptions {
   /// check and audit trail live here).
   std::string log_path;
 
-  /// Per-connection read deadline: a feeder silent this long is
-  /// disconnected (it reconnects and resumes via the status cursor).
+  /// Per-frame read deadline: a feeder that leaves the next frame
+  /// unfinished this long, silent or trickling, is disconnected (it
+  /// reconnects and resumes via the status cursor). Negative: no
+  /// deadline.
   int read_timeout_ms = 5000;
   std::size_t subscriber_queue_capacity = 256;
 

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <array>
+#include <chrono>
 #include <cstring>
 
 #include "service/codec.h"
@@ -65,11 +66,27 @@ void write_frame(Socket& sock, std::uint8_t type,
 
 std::optional<Frame> FrameReader::next(int timeout_ms) {
   using Reader = service::codec::FrameReader<WireError>;
+  using Clock = std::chrono::steady_clock;
+  // The timeout bounds the whole frame: the call's first refill sets the
+  // deadline, and each later one waits only for what is left of it. A
+  // frame already buffered reads no clock; a negative timeout sets no
+  // deadline, and every refill waits without limit.
+  std::optional<Clock::time_point> deadline;
   return Reader::next([&](std::uint8_t* dst, std::size_t max) -> std::size_t {
+    int wait_ms = timeout_ms;
+    if (timeout_ms >= 0) {
+      const Clock::time_point now = Clock::now();
+      if (!deadline) deadline = now + std::chrono::milliseconds(timeout_ms);
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(*deadline - now).count();
+      wait_ms = left > 0 ? static_cast<int>(left) : 0;
+    }
     try {
-      return sock_.read_some(dst, max, timeout_ms);
+      return sock_.read_some(dst, max, wait_ms);
     } catch (const TimeoutError&) {
-      throw;
+      // Name the frame's timeout, not the slice of it this refill had.
+      throw TimeoutError("read timed out after " + std::to_string(timeout_ms) +
+                         " ms");
     } catch (const NetError&) {
       // Inside a frame, a failed socket ends the stream there: the
       // reader reports the torn frame.

@@ -130,9 +130,12 @@ class FrameReader : public service::codec::FrameReader<WireError> {
 
   /// The next frame, or nullopt on orderly peer close at a frame
   /// boundary (nothing buffered). Throws WireError (torn frame / CRC
-  /// mismatch / oversized payload), TimeoutError when `timeout_ms`
-  /// passes with no byte arriving (each refill waits afresh). A socket
-  /// failure after the frame's first byte reads as a torn frame.
+  /// mismatch / oversized payload), TimeoutError when the frame is not
+  /// whole `timeout_ms` after this call first had to read: the deadline
+  /// bounds the frame, not each refill, so a peer trickling bytes
+  /// cannot hold the reader. A negative `timeout_ms` waits without
+  /// limit. A socket failure after the frame's first byte reads as a
+  /// torn frame.
   [[nodiscard]] std::optional<Frame> next(int timeout_ms);
 
  private:

@@ -44,12 +44,13 @@ SyntheticWorkload::SyntheticWorkload(const TrafficTrace& trace)
     counts[cell] += 1.0;
     const auto row = trace.state_row(step);
     for (std::size_t si = 0; si < row.size(); ++si) {
-      table_[si * 7 * 24 + cell] += row[si];
+      table_[cell * state_count_ + si] += row[si];
     }
   }
-  for (std::size_t si = 0; si < state_count_; ++si) {
-    for (std::size_t cell = 0; cell < 7 * 24; ++cell) {
-      if (counts[cell] > 0.0) table_[si * 7 * 24 + cell] /= counts[cell];
+  for (std::size_t cell = 0; cell < 7 * 24; ++cell) {
+    if (counts[cell] <= 0.0) continue;
+    for (std::size_t si = 0; si < state_count_; ++si) {
+      table_[cell * state_count_ + si] /= counts[cell];
     }
   }
 }
@@ -64,15 +65,16 @@ HitsPerSec SyntheticWorkload::demand(StateId state, HourIndex hour) const {
   if (!state.valid() || state.index() >= state_count_) {
     throw std::out_of_range("SyntheticWorkload::demand");
   }
-  return HitsPerSec{table_[state.index() * 7 * 24 + cell_of(hour)]};
+  return HitsPerSec{state_row(hour)[state.index()]};
+}
+
+std::span<const double> SyntheticWorkload::state_row(HourIndex hour) const {
+  return {table_.data() + cell_of(hour) * state_count_, state_count_};
 }
 
 HitsPerSec SyntheticWorkload::total(HourIndex hour) const {
   double sum = 0.0;
-  const std::size_t cell = cell_of(hour);
-  for (std::size_t si = 0; si < state_count_; ++si) {
-    sum += table_[si * 7 * 24 + cell];
-  }
+  for (const double d : state_row(hour)) sum += d;
   return HitsPerSec{sum};
 }
 

@@ -7,6 +7,7 @@
 //  - the synthetic 39-month workload: hour-of-day x day-of-week average
 //    demand per state, replayed over any period.
 
+#include <span>
 #include <vector>
 
 #include "base/ids.h"
@@ -50,12 +51,16 @@ class SyntheticWorkload {
   /// Average demand of `state` at the given absolute hour.
   [[nodiscard]] HitsPerSec demand(StateId state, HourIndex hour) const;
 
+  /// Every state's average demand at the given absolute hour (hits/s,
+  /// indexed by state): one hour-of-week row, found once for all states.
+  [[nodiscard]] std::span<const double> state_row(HourIndex hour) const;
+
   /// Sum across states at an hour.
   [[nodiscard]] HitsPerSec total(HourIndex hour) const;
 
  private:
   std::size_t state_count_ = 0;
-  // [state][dow*24 + hour]
+  // [dow*24 + hour][state]
   std::vector<double> table_;
 
   [[nodiscard]] static std::size_t cell_of(HourIndex hour);

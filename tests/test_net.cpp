@@ -305,6 +305,74 @@ TEST(NetWireTest, FrameReaderTimesOutMidFrame) {
   EXPECT_THROW((void)reader.next(100), TimeoutError);
 }
 
+/// A 29-byte frame: header, a 20-byte payload, CRC.
+std::vector<std::uint8_t> small_frame() {
+  std::vector<std::uint8_t> bytes;
+  service::append_frame(bytes,
+                        static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                        std::vector<std::uint8_t>(20, 0x5A));
+  return bytes;
+}
+
+TEST(NetWireTest, FrameReaderTimeoutBoundsTheFrameNotEachRefill) {
+  // A byte every 30 ms: each refill gets one well inside 100 ms, but the
+  // frame would not be whole for ~870 ms.
+  SocketPair pair;
+  const std::vector<std::uint8_t> bytes = small_frame();
+  ASSERT_EQ(bytes.size(), 29u);
+  std::atomic<bool> gave_up{false};
+  std::thread trickler([&] {
+    for (const std::uint8_t b : bytes) {
+      if (gave_up.load()) return;
+      pair.client.write_all(&b, 1, kIoMs);
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  });
+  FrameReader reader(pair.server);
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    (void)reader.next(100);
+  } catch (const TimeoutError& e) {
+    error = e.what();
+  }
+  const auto took = std::chrono::steady_clock::now() - start;
+  gave_up.store(true);
+  trickler.join();
+  EXPECT_LT(took, std::chrono::milliseconds(300));
+  // The error names the frame's timeout, not the slice its last refill
+  // had left.
+  EXPECT_EQ(error, "read timed out after 100 ms");
+}
+
+/// Sends small_frame() in two bursts `gap_ms` apart and reads it with
+/// `timeout_ms`.
+void expect_frame_read_across_gap(int gap_ms, int timeout_ms) {
+  SocketPair pair;
+  const std::vector<std::uint8_t> bytes = small_frame();
+  std::thread sender([&] {
+    pair.client.write_all(bytes.data(), 10, kIoMs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
+    pair.client.write_all(bytes.data() + 10, bytes.size() - 10, kIoMs);
+  });
+  FrameReader reader(pair.server);
+  const std::optional<Frame> frame = reader.next(timeout_ms);
+  sender.join();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, static_cast<std::uint8_t>(NetFrameType::kTelemetry));
+  EXPECT_EQ(std::vector<std::uint8_t>(frame->payload.begin(),
+                                      frame->payload.end()),
+            std::vector<std::uint8_t>(20, 0x5A));
+}
+
+TEST(NetWireTest, FrameReaderReadsAFrameArrivingInBurstsWithinItsTimeout) {
+  expect_frame_read_across_gap(40, 1000);
+}
+
+TEST(NetWireTest, FrameReaderWithANegativeTimeoutWaitsWithoutLimit) {
+  expect_frame_read_across_gap(60, -1);
+}
+
 /// A frame with its own copy of the payload (a Frame views the reader's
 /// buffer).
 struct OwnedFrame {

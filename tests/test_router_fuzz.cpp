@@ -3,7 +3,7 @@
 // exactly. These are the invariants the accounting relies on. A naive
 // reference router, written from paper §6.1 without any of the plan
 // caching, holds PriceAwareRouter to bit-identical allocations on
-// tie-heavy prices.
+// tie-heavy prices and on untied continuous ones.
 
 #include <gtest/gtest.h>
 
@@ -482,6 +482,65 @@ TEST_P(RouterFuzz, PriceAwareMatchesNaiveReferenceOnTiedPrices) {
               << " km, round " << round;
         }
       }
+    }
+  }
+}
+
+TEST_P(RouterFuzz, PriceAwareMatchesNaiveReferenceOnUntiedPrices) {
+  // Continuous prices never tie. A plan stores each state's head and
+  // fills a state's full order only the first time its head is short.
+  // Routing one price vector at several demand scales, in a random
+  // order, switches states between head-only and full-order routing
+  // within one plan, and fills their orders in varying orders - the
+  // tie-heavy case above routes each price vector at one demand.
+  constexpr double kScales[] = {0.1, 0.5, 1.0, 2.0, 4.0, 6.0};
+  constexpr int kRounds = 4;
+  const traffic::BaselineAllocation fallback(test::kTestSeed);
+  stats::Rng rng(test::kTestSeed ^ (GetParam() * 0x85EBCA6Bu));
+
+  for (const double threshold_km : {0.0, 800.0, 1500.0, 5000.0}) {
+    for (const bool with_fallback : {false, true}) {
+      PriceAwareConfig cfg;
+      cfg.distance_threshold = Km{threshold_km};
+      const traffic::BaselineAllocation* fb =
+          with_fallback ? &fallback : nullptr;
+      PriceAwareRouter router(fuzz_distances(), kClusters, cfg, fb);
+      const ReferencePriceAwareRouter reference(fuzz_distances(), cfg, fb);
+      for (int round = 0; round < kRounds; ++round) {
+        FuzzContext f = make_context(rng.index(1u << 30));
+        std::vector<double> sorted = f.price;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                  sorted.end())
+            << "tied prices, round " << round;
+        const std::vector<double> base = f.demand;
+        for (int call = 0; call < 8; ++call) {
+          const double scale = kScales[rng.index(std::size(kScales))];
+          for (std::size_t s = 0; s < base.size(); ++s) {
+            f.demand[s] = base[s] * scale;
+          }
+          for (const bool with_p95 : {false, true}) {
+            Allocation got(f.demand.size(), kClusters);
+            Allocation want(f.demand.size(), kClusters);
+            router.route(f.view(with_p95), got);
+            reference.route(f.view(with_p95), want);
+            ASSERT_TRUE(allocations_bit_identical(got, want))
+                << "threshold " << threshold_km << " km, fallback "
+                << with_fallback << ", round " << round << ", demand x"
+                << scale << ", 95/5 " << with_p95;
+            const auto same_cell = [](const Allocation::Entry& a,
+                                      const Allocation::Entry& b) {
+              return a.state == b.state && a.cluster == b.cluster;
+            };
+            ASSERT_TRUE(std::ranges::equal(got.nonzero(), want.nonzero(),
+                                           same_cell))
+                << "first-touch order, threshold " << threshold_km
+                << " km, round " << round << ", demand x" << scale;
+          }
+        }
+      }
+      // Every call of a round replayed that round's plan.
+      EXPECT_EQ(router.plan_rebuilds(), kRounds);
     }
   }
 }

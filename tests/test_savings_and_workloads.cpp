@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/savings.h"
 #include "core/workload.h"
 #include "test_support.h"
@@ -110,6 +114,31 @@ TEST_F(WorkloadAdapters, SyntheticWorkloadWeeklyPeriodic) {
   w.demand(10 + 7 * 24, b);  // one week later
   for (std::size_t s = 0; s < a.size(); ++s) {
     EXPECT_DOUBLE_EQ(a[s], b[s]);
+  }
+}
+
+TEST_F(WorkloadAdapters, SyntheticRowIsEachStatesDemandTimesItsSubsetFraction) {
+  // Fifteen days from 36 hours before the 2006 epoch, so the first hours
+  // take their hour-of-week cell from a floored weekday.
+  const Period window{-36, -36 + 15 * 24};
+  const SyntheticWorkload39 w(*synth_, *alloc_, window);
+  std::vector<double> row(w.state_count());
+  std::vector<double> week_later(w.state_count());
+  for (std::int64_t step = 0; step < w.steps(); ++step) {
+    w.demand(step, row);
+    const HourIndex hour = window.begin + step;
+    for (std::size_t s = 0; s < row.size(); ++s) {
+      const StateId state{static_cast<std::int32_t>(s)};
+      const double expected =
+          synth_->demand(state, hour).value() * alloc_->subset_fraction(state);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[s]),
+                std::bit_cast<std::uint64_t>(expected))
+          << "hour " << hour << ", state " << s;
+    }
+    if (step + 7 * 24 < w.steps()) {
+      w.demand(step + 7 * 24, week_later);
+      ASSERT_EQ(row, week_later) << "hour " << hour;
+    }
   }
 }
 
