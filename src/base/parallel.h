@@ -1,23 +1,28 @@
-#ifndef CEBIS_CORE_PARALLEL_H
-#define CEBIS_CORE_PARALLEL_H
+#ifndef CEBIS_BASE_PARALLEL_H
+#define CEBIS_BASE_PARALLEL_H
 
-// A minimal fork-join worker pool for independent sweep cells.
+// A minimal fork-join worker pool for independent tasks.
 //
-// run_scenarios splits a sweep into a deterministic serial *plan* phase
-// (price prepass, workload/engine/router construction - everything that
-// may touch lazily materialized shared state) and a *run* phase in
-// which each cell only reads immutable inputs and writes its own
-// result slot. parallel_for_index covers the run phase: it executes
-// fn(0..n-1) across `threads` workers (the calling thread included)
-// pulling indices from one atomic counter, so scheduling never affects
-// *what* a cell computes, only *when* - results keyed by index are
-// byte-identical to a serial loop.
+// parallel_for_index executes fn(0..n-1) across `threads` workers (the
+// calling thread included) pulling indices from one atomic counter, so
+// scheduling never affects *what* a task computes, only *when* -
+// results keyed by index are byte-identical to a serial loop. Every
+// worker joins before the call returns; no thread outlives it.
+//
+// Three callers: run_scenarios' run phase (each sweep cell reads
+// immutable inputs and writes its own result slot, after a serial plan
+// phase that touches every lazily materialized input), and the two
+// input generators, MarketSimulator::generate (one task per market RTO)
+// and TraceGenerator::generate (one task per block of states and per
+// world region).
+// The generators build every task's state on the calling thread, so
+// their workers allocate nothing.
 //
 // Exception contract: a throwing index stops the distribution of
-// not-yet-claimed indices (cells already in flight complete), and after
+// not-yet-claimed indices (tasks already in flight complete), and after
 // all workers join, the exception of the lowest throwing index is
-// rethrown. With a single faulty cell this is fully deterministic;
-// other cells' slots are either completely written or untouched, never
+// rethrown. With a single faulty task this is fully deterministic;
+// other tasks' slots are either completely written or untouched, never
 // partially so (fn owns the slot for the whole call).
 
 #include <algorithm>
@@ -28,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-namespace cebis::core {
+namespace cebis {
 
 /// Per-worker execution accounting for one parallel_for_index call
 /// (observability only - collecting it never changes scheduling).
@@ -123,6 +128,6 @@ void parallel_for_index(std::int64_t n, int threads, Fn&& fn,
   }
 }
 
-}  // namespace cebis::core
+}  // namespace cebis
 
-#endif  // CEBIS_CORE_PARALLEL_H
+#endif  // CEBIS_BASE_PARALLEL_H

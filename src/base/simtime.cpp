@@ -87,8 +87,9 @@ bool is_weekend(Weekday d) noexcept {
   return d == Weekday::kSunday || d == Weekday::kSaturday;
 }
 
-int month_index(HourIndex h) noexcept {
-  const CivilDate d = date_of(h);
+int month_index(HourIndex h) noexcept { return month_index(date_of(h)); }
+
+int month_index(const CivilDate& d) noexcept {
   return (d.year - 2006) * 12 + (d.month - 1);
 }
 

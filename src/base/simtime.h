@@ -76,6 +76,8 @@ enum class Weekday : int {
 
 /// Month index since epoch: 0 = Jan 2006, 38 = Mar 2009.
 [[nodiscard]] int month_index(HourIndex h) noexcept;
+/// The same for a civil date (month_index(h) is month_index(date_of(h))).
+[[nodiscard]] int month_index(const CivilDate& d) noexcept;
 
 /// First hour of the given month index (0 = Jan 2006).
 [[nodiscard]] HourIndex month_begin(int month_idx) noexcept;

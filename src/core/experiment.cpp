@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "core/parallel.h"
+#include "base/parallel.h"
 #include "core/router_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

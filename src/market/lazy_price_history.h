@@ -27,6 +27,10 @@
 // call in its serial plan phase; during the concurrent run phase the
 // history must not grow - engines only read the PriceSet references
 // resolved up front, which the stable-address guarantee keeps valid.
+// A cover() that generates fans out inside (MarketSimulator::generate
+// runs one task per market RTO and joins them before it returns), so
+// callers still call it from one thread at a time; nothing it starts
+// outlives the call.
 
 #include <cstdint>
 #include <map>

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "base/parallel.h"
 #include "geo/latlon.h"
 
 namespace cebis::market {
@@ -72,17 +73,232 @@ void expect_sub_hourly_request(const HubRegistry& hubs, HubId hub,
   }
 }
 
+/// One market RTO's share of generate(). Every stream it draws from
+/// belongs to the RTO (regional, fast-regional, local, scarcity, event)
+/// or to one of its hubs (spike, micro, day-ahead), except the national
+/// factor: each task replays it from its own copy of the national
+/// stream, so every task sees the same national path. Built on the
+/// calling thread (streams, per-hub constants, scratch and the hubs'
+/// pre-sized output rows); run() allocates nothing and writes only its
+/// hubs' rows.
+class RtoTask {
+ public:
+  RtoTask(const HubRegistry& hubs, const PriceModelParams& params,
+          const stats::Matrix& chol, Rto rto, const stats::Rng& base,
+          std::vector<std::vector<double>>& rt,
+          std::vector<std::vector<double>>& da);
+
+  /// Evolves every factor from the study epoch to `period.end` and
+  /// prices the hours of `period`.
+  void run(const Period& period);
+
+ private:
+  struct Hub {
+    const HubInfo* info;
+    double* rt;  // output rows, one value per hour of the period
+    double* da;
+    stats::Rng spike_rng;
+    stats::Rng micro_rng;
+    stats::Rng da_rng;
+    // Hour-invariant terms, hoisted out of the hour loop.
+    double local_scale;  // sigma_local * vol_scale
+    double micro_sigma;  // micro_sigma * vol_scale
+    double onset;        // spike onset probability per hour
+    double var;          // log-price variance of the level, divided out
+    double da_var;       // the same for the day-ahead price
+    // Factor state.
+    double local = 0.0;
+    double spike = 0.0;
+    double scarcity = 0.0;
+  };
+
+  /// Draws the RTO's correlated local innovations into corr_.
+  void draw_local() {
+    for (double& v : z_) v = loc_.normal();
+    chol_.mul(z_, corr_);
+  }
+
+  const PriceModelParams& params_;
+  const stats::Matrix& chol_;
+  double scarcity_rate_;
+  stats::Rng nat_;
+  stats::Rng reg_;
+  stats::Rng reg_fast_;
+  stats::Rng loc_;
+  stats::Rng scarce_;
+  stats::Rng evt_;
+  std::vector<Hub> members_;
+  std::vector<double> z_;
+  std::vector<double> corr_;
+};
+
+RtoTask::RtoTask(const HubRegistry& hubs, const PriceModelParams& params,
+                 const stats::Matrix& chol, Rto rto, const stats::Rng& base,
+                 std::vector<std::vector<double>>& rt,
+                 std::vector<std::vector<double>>& da)
+    : params_(params),
+      chol_(chol),
+      scarcity_rate_(params.spikes.scarcity_per_hour * params.scarcity_scale_for(rto)),
+      nat_(base.split(kStreamNational)),
+      reg_(base.split(kStreamRegional + static_cast<std::uint64_t>(rto))),
+      reg_fast_(base.split(kStreamRegionalFast + static_cast<std::uint64_t>(rto))),
+      loc_(base.split(kStreamLocal + static_cast<std::uint64_t>(rto))),
+      scarce_(base.split(kStreamScarcity + static_cast<std::uint64_t>(rto))),
+      evt_(base.split(kStreamRtoEvent + static_cast<std::uint64_t>(rto))) {
+  const FactorParams& fp = params_.factors;
+  const auto members = hubs.hubs_in(rto);
+  members_.reserve(members.size());
+  for (HubId id : members) {
+    const HubInfo& hub = hubs.info(id);
+    // exp() of a zero-mean normal has mean exp(var/2); the level divides
+    // it out so the hub's long-run level tracks base_price.
+    const double bs2 = hub.beta_slow * hub.beta_slow;
+    const double bf2 = hub.beta_fast * hub.beta_fast;
+    const double var =
+        bs2 * (fp.sigma_national * fp.sigma_national +
+               fp.sigma_regional * fp.sigma_regional) +
+        bf2 * (fp.sigma_regional_fast * fp.sigma_regional_fast +
+               (fp.sigma_local * hub.vol_scale) * (fp.sigma_local * hub.vol_scale) +
+               (fp.micro_sigma * hub.vol_scale) * (fp.micro_sigma * hub.vol_scale));
+    const double da_var = bs2 * (fp.sigma_national * fp.sigma_national +
+                                 fp.sigma_regional * fp.sigma_regional) +
+                          params_.day_ahead.noise_sigma * params_.day_ahead.noise_sigma;
+    members_.push_back(Hub{&hub,
+                           rt[id.index()].data(),
+                           da[id.index()].data(),
+                           base.split(kStreamSpike + id.index()),
+                           base.split(kStreamMicro + id.index()),
+                           base.split(kStreamDayAhead + id.index()),
+                           fp.sigma_local * hub.vol_scale,
+                           fp.micro_sigma * hub.vol_scale,
+                           params_.spikes.onset_per_hour * hub.spike_rate_scale,
+                           var,
+                           da_var});
+  }
+  z_.resize(members.size());
+  corr_.resize(members.size());
+}
+
+void RtoTask::run(const Period& period) {
+  const FactorParams& fp = params_.factors;
+  const SpikeParams& sp = params_.spikes;
+
+  // Factor state, initialized at the stationary distribution.
+  double national = nat_.normal(0.0, fp.sigma_national);
+  double regional = reg_.normal(0.0, fp.sigma_regional);
+  double regional_fast = reg_fast_.normal(0.0, fp.sigma_regional_fast);
+  draw_local();
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    members_[i].local = corr_[i] * fp.sigma_local * members_[i].info->vol_scale;
+  }
+
+  // Day-ahead factor snapshot, refreshed at each (epoch) day boundary.
+  double da_nat = national;
+  double da_reg = regional;
+
+  const double nat_inno = innovation_sigma(fp.sigma_national, fp.phi_national);
+  const double reg_inno = innovation_sigma(fp.sigma_regional, fp.phi_regional);
+  const double reg_fast_inno =
+      innovation_sigma(fp.sigma_regional_fast, fp.phi_regional_fast);
+  const double loc_inno_unit = std::sqrt(std::max(0.0, 1.0 - fp.phi_local * fp.phi_local));
+
+  for (HourIndex t = study_period().begin; t < period.end; ++t) {
+    // --- factor evolution --------------------------------------------
+    national = fp.phi_national * national + nat_.normal(0.0, nat_inno);
+    regional = fp.phi_regional * regional + reg_.normal(0.0, reg_inno);
+    regional_fast =
+        fp.phi_regional_fast * regional_fast + reg_fast_.normal(0.0, reg_fast_inno);
+    draw_local();
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      Hub& h = members_[i];
+      h.local = fp.phi_local * h.local + corr_[i] * h.local_scale * loc_inno_unit;
+    }
+
+    if (hour_of_day(t) == 0) {
+      da_nat = national;
+      da_reg = regional;
+    }
+
+    // --- scarcity events (rare, sustained, near-cap) -------------------
+    if (scarce_.bernoulli(scarcity_rate_)) {
+      const double mag = scarce_.uniform(sp.scarcity_lo, sp.scarcity_hi);
+      for (Hub& h : members_) {
+        if (scarce_.bernoulli(0.9)) h.scarcity = mag * scarce_.uniform(0.8, 1.2);
+      }
+    }
+    for (Hub& h : members_) {
+      if (h.scarcity != 0.0) {
+        h.scarcity = scarce_.bernoulli(sp.scarcity_persist) ? h.scarcity * 0.9 : 0.0;
+        if (h.scarcity < 1.0) h.scarcity = 0.0;
+      }
+    }
+
+    // --- spikes -------------------------------------------------------
+    if (evt_.bernoulli(sp.rto_event_per_hour)) {
+      const double mag =
+          std::min(evt_.pareto(sp.pareto_xm, sp.pareto_alpha), sp.magnitude_cap);
+      for (Hub& h : members_) {
+        if (evt_.bernoulli(sp.rto_participation)) {
+          h.spike += mag * evt_.uniform(0.7, 1.0) * h.info->spike_scale;
+        }
+      }
+    }
+    for (Hub& h : members_) {
+      if (h.spike != 0.0) {
+        h.spike = h.spike_rng.bernoulli(sp.persist) ? h.spike * sp.decay : 0.0;
+        if (std::abs(h.spike) < 1.0) h.spike = 0.0;
+      }
+      if (h.spike_rng.bernoulli(h.onset)) {
+        double mag = std::min(h.spike_rng.pareto(sp.pareto_xm, sp.pareto_alpha),
+                              sp.magnitude_cap) *
+                     h.info->spike_scale;
+        if (h.spike_rng.bernoulli(sp.p_negative)) mag = -mag * sp.negative_scale;
+        h.spike += mag;
+      }
+    }
+
+    if (t < period.begin) {
+      // Still consume the per-hub micro/DA draws so output is invariant
+      // to the requested window.
+      for (Hub& h : members_) {
+        (void)h.micro_rng.normal();
+        (void)h.da_rng.normal();
+      }
+      continue;
+    }
+
+    // --- price assembly ------------------------------------------------
+    const auto row = static_cast<std::size_t>(t - period.begin);
+    const CivilDate date = date_of(t);
+    for (Hub& h : members_) {
+      const HubInfo& hub = *h.info;
+      const double shape = deterministic_shape(t, date, hub.utc_offset_hours, hub.rto);
+      const double slow = hub.beta_slow * (national + regional);
+      const double fast = hub.beta_fast * (regional_fast + h.local);
+      const double micro = hub.beta_fast * h.micro_rng.normal(0.0, h.micro_sigma);
+      const double level =
+          hub.base_price * shape * std::exp(slow + fast + micro - h.var / 2.0);
+      const double price = level + h.spike + h.scarcity;
+      h.rt[row] = std::clamp(price, params_.price_floor, params_.price_cap);
+
+      // Day-ahead: previous-day factor snapshot, no spikes, mild noise.
+      const double da_x = hub.beta_slow * (da_nat + da_reg);
+      const double da_noise = h.da_rng.normal(0.0, params_.day_ahead.noise_sigma);
+      const double da_price = hub.base_price * shape * params_.day_ahead.premium *
+                              std::exp(da_x + da_noise - h.da_var / 2.0);
+      h.da[row] = std::clamp(da_price, 0.0, params_.price_cap);
+    }
+  }
+}
+
 }  // namespace
 
 MarketSimulator::MarketSimulator(const HubRegistry& hubs, PriceModelParams params,
                                  std::uint64_t seed)
     : hubs_(hubs), params_(std::move(params)), seed_(seed) {
   rto_chol_.resize(kRtoCount);
-  rto_members_.resize(kRtoCount);
   for (Rto rto : market_rtos()) {
-    const auto members = hubs_.hubs_in(rto);
-    auto& ids = rto_members_[static_cast<std::size_t>(rto)];
-    ids.assign(members.begin(), members.end());
+    const auto ids = hubs_.hubs_in(rto);
     if (ids.empty()) continue;
     stats::Matrix dist(ids.size(), ids.size(), 0.0);
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -105,215 +321,30 @@ PriceSet MarketSimulator::generate(const Period& period) const {
   }
 
   const std::size_t hub_count = hubs_.size();
-  const auto want = [&](HourIndex t) { return period.contains(t); };
   const auto n_out = static_cast<std::size_t>(period.hours());
-
   std::vector<std::vector<double>> rt(hub_count);
   std::vector<std::vector<double>> da(hub_count);
   for (HubId id : hubs_.hourly_hubs()) {
-    rt[id.index()].reserve(n_out);
-    da[id.index()].reserve(n_out);
+    rt[id.index()].resize(n_out);
+    da[id.index()].resize(n_out);
   }
 
-  const FactorParams& fp = params_.factors;
-  const SpikeParams& sp = params_.spikes;
-
-  stats::Rng base(seed_);
-  stats::Rng rng_nat = base.split(kStreamNational);
-  std::vector<stats::Rng> rng_reg;
-  std::vector<stats::Rng> rng_loc;
-  std::vector<stats::Rng> rng_evt;
-  std::vector<stats::Rng> rng_reg_fast;
-  std::vector<stats::Rng> rng_scarce;
-  for (int r = 0; r < kRtoCount; ++r) {
-    rng_reg.push_back(base.split(kStreamRegional + static_cast<std::uint64_t>(r)));
-    rng_reg_fast.push_back(
-        base.split(kStreamRegionalFast + static_cast<std::uint64_t>(r)));
-    rng_loc.push_back(base.split(kStreamLocal + static_cast<std::uint64_t>(r)));
-    rng_evt.push_back(base.split(kStreamRtoEvent + static_cast<std::uint64_t>(r)));
-    rng_scarce.push_back(base.split(kStreamScarcity + static_cast<std::uint64_t>(r)));
+  // One task per market RTO, built here and handed out largest first.
+  std::vector<Rto> order(market_rtos().begin(), market_rtos().end());
+  std::stable_sort(order.begin(), order.end(), [this](Rto a, Rto b) {
+    return hubs_.hubs_in(a).size() > hubs_.hubs_in(b).size();
+  });
+  const stats::Rng base(seed_);
+  std::vector<RtoTask> tasks;
+  tasks.reserve(order.size());
+  for (Rto rto : order) {
+    if (hubs_.hubs_in(rto).empty()) continue;
+    tasks.emplace_back(hubs_, params_, rto_chol_[static_cast<std::size_t>(rto)],
+                       rto, base, rt, da);
   }
-  std::vector<stats::Rng> rng_spike;
-  std::vector<stats::Rng> rng_da;
-  std::vector<stats::Rng> rng_micro;
-  for (std::size_t h = 0; h < hub_count; ++h) {
-    rng_spike.push_back(base.split(kStreamSpike + h));
-    rng_da.push_back(base.split(kStreamDayAhead + h));
-    rng_micro.push_back(base.split(kStreamMicro + h));
-  }
-
-  // Factor state, initialized at the stationary distribution.
-  double national = rng_nat.normal(0.0, fp.sigma_national);
-  std::vector<double> regional(kRtoCount, 0.0);
-  std::vector<double> regional_fast(kRtoCount, 0.0);
-  for (Rto rto : market_rtos()) {
-    auto& r = regional[static_cast<std::size_t>(rto)];
-    r = rng_reg[static_cast<std::size_t>(rto)].normal(0.0, fp.sigma_regional);
-    auto& rf = regional_fast[static_cast<std::size_t>(rto)];
-    rf = rng_reg_fast[static_cast<std::size_t>(rto)].normal(0.0, fp.sigma_regional_fast);
-  }
-  std::vector<double> local(hub_count, 0.0);
-  for (Rto rto : market_rtos()) {
-    const auto& ids = rto_members_[static_cast<std::size_t>(rto)];
-    auto& rng = rng_loc[static_cast<std::size_t>(rto)];
-    const auto& chol = rto_chol_[static_cast<std::size_t>(rto)];
-    std::vector<double> z(ids.size());
-    for (auto& v : z) v = rng.normal();
-    const std::vector<double> corr = chol.mul(z);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      local[ids[i].index()] =
-          corr[i] * fp.sigma_local * hubs_.info(ids[i]).vol_scale;
-    }
-  }
-  std::vector<double> spike(hub_count, 0.0);
-  std::vector<double> scarcity(hub_count, 0.0);
-
-  // Day-ahead factor snapshot, refreshed at each (epoch) day boundary.
-  double da_nat = national;
-  std::vector<double> da_reg = regional;
-
-  const double nat_inno = innovation_sigma(fp.sigma_national, fp.phi_national);
-  const double reg_inno = innovation_sigma(fp.sigma_regional, fp.phi_regional);
-  const double reg_fast_inno =
-      innovation_sigma(fp.sigma_regional_fast, fp.phi_regional_fast);
-  const double loc_inno_unit = std::sqrt(std::max(0.0, 1.0 - fp.phi_local * fp.phi_local));
-
-  for (HourIndex t = study.begin; t < period.end; ++t) {
-    // --- factor evolution --------------------------------------------
-    national = fp.phi_national * national + rng_nat.normal(0.0, nat_inno);
-    for (Rto rto : market_rtos()) {
-      auto& r = regional[static_cast<std::size_t>(rto)];
-      r = fp.phi_regional * r +
-          rng_reg[static_cast<std::size_t>(rto)].normal(0.0, reg_inno);
-      auto& rf = regional_fast[static_cast<std::size_t>(rto)];
-      rf = fp.phi_regional_fast * rf +
-           rng_reg_fast[static_cast<std::size_t>(rto)].normal(0.0, reg_fast_inno);
-    }
-    for (Rto rto : market_rtos()) {
-      const auto& ids = rto_members_[static_cast<std::size_t>(rto)];
-      if (ids.empty()) continue;
-      auto& rng = rng_loc[static_cast<std::size_t>(rto)];
-      const auto& chol = rto_chol_[static_cast<std::size_t>(rto)];
-      std::vector<double> z(ids.size());
-      for (auto& v : z) v = rng.normal();
-      const std::vector<double> corr = chol.mul(z);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        const double scale = fp.sigma_local * hubs_.info(ids[i]).vol_scale;
-        auto& l = local[ids[i].index()];
-        l = fp.phi_local * l + corr[i] * scale * loc_inno_unit;
-      }
-    }
-
-    if (hour_of_day(t) == 0) {
-      da_nat = national;
-      da_reg = regional;
-    }
-
-    // --- scarcity events (rare, sustained, near-cap) -------------------
-    for (Rto rto : market_rtos()) {
-      auto& rng = rng_scarce[static_cast<std::size_t>(rto)];
-      const double rate = sp.scarcity_per_hour * params_.scarcity_scale_for(rto);
-      if (rng.bernoulli(rate)) {
-        const double mag = rng.uniform(sp.scarcity_lo, sp.scarcity_hi);
-        for (HubId id : rto_members_[static_cast<std::size_t>(rto)]) {
-          if (rng.bernoulli(0.9)) {
-            scarcity[id.index()] = mag * rng.uniform(0.8, 1.2);
-          }
-        }
-      }
-    }
-    for (HubId id : hubs_.hourly_hubs()) {
-      auto& v = scarcity[id.index()];
-      if (v != 0.0) {
-        auto& rng = rng_scarce[static_cast<std::size_t>(hubs_.info(id).rto)];
-        v = rng.bernoulli(sp.scarcity_persist) ? v * 0.9 : 0.0;
-        if (v < 1.0) v = 0.0;
-      }
-    }
-
-    // --- spikes -------------------------------------------------------
-    for (Rto rto : market_rtos()) {
-      auto& evt = rng_evt[static_cast<std::size_t>(rto)];
-      if (evt.bernoulli(sp.rto_event_per_hour)) {
-        const double mag =
-            std::min(evt.pareto(sp.pareto_xm, sp.pareto_alpha), sp.magnitude_cap);
-        for (HubId id : rto_members_[static_cast<std::size_t>(rto)]) {
-          if (evt.bernoulli(sp.rto_participation)) {
-            spike[id.index()] +=
-                mag * evt.uniform(0.7, 1.0) * hubs_.info(id).spike_scale;
-          }
-        }
-      }
-    }
-    for (HubId id : hubs_.hourly_hubs()) {
-      auto& rng = rng_spike[id.index()];
-      auto& j = spike[id.index()];
-      if (j != 0.0) {
-        j = rng.bernoulli(sp.persist) ? j * sp.decay : 0.0;
-        if (std::abs(j) < 1.0) j = 0.0;
-      }
-      if (rng.bernoulli(sp.onset_per_hour * hubs_.info(id).spike_rate_scale)) {
-        double mag = std::min(rng.pareto(sp.pareto_xm, sp.pareto_alpha),
-                              sp.magnitude_cap) *
-                     hubs_.info(id).spike_scale;
-        if (rng.bernoulli(sp.p_negative)) mag = -mag * sp.negative_scale;
-        j += mag;
-      }
-    }
-
-    if (!want(t)) {
-      // Still consume the per-hub micro/DA draws so output is invariant
-      // to the requested window.
-      for (HubId id : hubs_.hourly_hubs()) {
-        (void)rng_micro[id.index()].normal();
-        (void)rng_da[id.index()].normal();
-      }
-      continue;
-    }
-
-    // --- price assembly ------------------------------------------------
-    for (HubId id : hubs_.hourly_hubs()) {
-      const HubInfo& hub = hubs_.info(id);
-      const double shape = deterministic_shape(t, hub.utc_offset_hours, hub.rto);
-      const double slow =
-          hub.beta_slow *
-          (national + regional[static_cast<std::size_t>(hub.rto)]);
-      const double fast =
-          hub.beta_fast * (regional_fast[static_cast<std::size_t>(hub.rto)] +
-                           local[id.index()]);
-      const double micro = hub.beta_fast *
-                           rng_micro[id.index()].normal(0.0, fp.micro_sigma *
-                                                                 hub.vol_scale);
-      // exp() of a zero-mean normal has mean exp(var/2); divide it out so
-      // the hub's long-run level tracks base_price.
-      const double bs2 = hub.beta_slow * hub.beta_slow;
-      const double bf2 = hub.beta_fast * hub.beta_fast;
-      const double var =
-          bs2 * (fp.sigma_national * fp.sigma_national +
-                 fp.sigma_regional * fp.sigma_regional) +
-          bf2 * (fp.sigma_regional_fast * fp.sigma_regional_fast +
-                 (fp.sigma_local * hub.vol_scale) * (fp.sigma_local * hub.vol_scale) +
-                 (fp.micro_sigma * hub.vol_scale) * (fp.micro_sigma * hub.vol_scale));
-      const double level =
-          hub.base_price * shape * std::exp(slow + fast + micro - var / 2.0);
-      double price = level + spike[id.index()] + scarcity[id.index()];
-      price = std::clamp(price, params_.price_floor, params_.price_cap);
-      rt[id.index()].push_back(price);
-
-      // Day-ahead: previous-day factor snapshot, no spikes, mild noise.
-      const double da_x =
-          hub.beta_slow * (da_nat + da_reg[static_cast<std::size_t>(hub.rto)]);
-      const double da_noise =
-          rng_da[id.index()].normal(0.0, params_.day_ahead.noise_sigma);
-      const double da_var = bs2 * (fp.sigma_national * fp.sigma_national +
-                                   fp.sigma_regional * fp.sigma_regional) +
-                            params_.day_ahead.noise_sigma * params_.day_ahead.noise_sigma;
-      double da_price = hub.base_price * shape * params_.day_ahead.premium *
-                        std::exp(da_x + da_noise - da_var / 2.0);
-      da_price = std::clamp(da_price, 0.0, params_.price_cap);
-      da[id.index()].push_back(da_price);
-    }
-  }
+  parallel_for_index(
+      static_cast<std::int64_t>(tasks.size()), default_thread_count(),
+      [&](std::int64_t i) { tasks[static_cast<std::size_t>(i)].run(period); });
 
   PriceSet out;
   out.period = period;

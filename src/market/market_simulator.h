@@ -14,6 +14,14 @@
 // not depend on the requested window: generate() always evolves the
 // factor processes from the study epoch, so a 24-day slice agrees with
 // the same hours inside a 39-month run.
+//
+// generate() runs one task per market RTO on up to
+// default_thread_count() workers (base/parallel.h), largest RTO first.
+// The RTOs' streams never read one another; the one shared factor, the
+// national one, is replayed in every task from its own copy of the
+// national stream. Each task writes only its hubs' rows, so the output
+// is the same bits at any width, and every worker joins before
+// generate() returns.
 
 #include <cstdint>
 #include <span>
@@ -103,9 +111,8 @@ class MarketSimulator {
       std::int64_t warmup_hours) const;
 
   // Per-RTO Cholesky factors of the spatial innovation kernel, indexed
-  // by RTO; rto_members_ gives the hub ids in factor order.
+  // by RTO, over the RTO's hubs in HubRegistry::hubs_in order.
   std::vector<stats::Matrix> rto_chol_;
-  std::vector<std::vector<HubId>> rto_members_;
 };
 
 }  // namespace cebis::market

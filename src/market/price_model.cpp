@@ -105,17 +105,17 @@ double hydro_seasonal_curve(int month_index) noexcept {
   return kHydroSeason[static_cast<std::size_t>(m)];
 }
 
-double deterministic_shape(HourIndex t, int utc_offset_hours, Rto rto) noexcept {
+double deterministic_shape(HourIndex t, const CivilDate& date,
+                           int utc_offset_hours, Rto rto) noexcept {
   const int local = local_hour_of_day(t, utc_offset_hours);
   const bool weekend = is_weekend(local_weekday(t, utc_offset_hours));
-  const int mi = month_index(t);
-  const CivilDate d = date_of(t);
+  const int mi = month_index(date);
   double shape = diurnal_multiplier(local, weekend);
   if (rto == Rto::kNonMarket) {
     // Hydro-dominated region: seasonal shape from runoff, no gas link.
     shape *= hydro_seasonal_curve(mi);
   } else {
-    shape *= seasonal_multiplier(d.month);
+    shape *= seasonal_multiplier(date.month);
     const double g = gas_sensitivity(rto);
     shape *= 1.0 + g * (national_fuel_curve(mi) - 1.0);
   }

@@ -134,8 +134,10 @@ struct PriceModelParams {
 [[nodiscard]] double hydro_seasonal_curve(int month_index) noexcept;
 
 /// Full deterministic component S_h(t)/base_h for a hub-like location.
-[[nodiscard]] double deterministic_shape(HourIndex t, int utc_offset_hours, Rto rto)
-    noexcept;
+/// `date` is date_of(t), which a caller pricing many hubs at one hour
+/// computes once for all of them.
+[[nodiscard]] double deterministic_shape(HourIndex t, const CivilDate& date,
+                                         int utc_offset_hours, Rto rto) noexcept;
 
 }  // namespace cebis::market
 

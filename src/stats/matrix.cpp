@@ -24,15 +24,15 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-std::vector<double> Matrix::mul(std::span<const double> v) const {
-  if (v.size() != cols_) throw std::invalid_argument("Matrix::mul: size mismatch");
-  std::vector<double> out(rows_, 0.0);
+void Matrix::mul(std::span<const double> v, std::span<double> out) const {
+  if (v.size() != cols_ || out.size() != rows_) {
+    throw std::invalid_argument("Matrix::mul: size mismatch");
+  }
   for (std::size_t r = 0; r < rows_; ++r) {
     double s = 0.0;
     for (std::size_t c = 0; c < cols_; ++c) s += data_[r * cols_ + c] * v[c];
     out[r] = s;
   }
-  return out;
 }
 
 Matrix Matrix::mul(const Matrix& other) const {

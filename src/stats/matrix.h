@@ -29,8 +29,9 @@ class Matrix {
   // cebis-lint: allow(unreferenced-api) test oracle for cholesky
   [[nodiscard]] static Matrix identity(std::size_t n);
 
-  /// Matrix-vector product.
-  [[nodiscard]] std::vector<double> mul(std::span<const double> v) const;
+  /// Matrix-vector product into `out` (rows() values); allocates
+  /// nothing, so a per-hour caller reuses one scratch vector.
+  void mul(std::span<const double> v, std::span<double> out) const;
 
   /// Matrix-matrix product.
   [[nodiscard]] Matrix mul(const Matrix& other) const;

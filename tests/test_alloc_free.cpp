@@ -9,8 +9,9 @@
 // subscriber hub's publish at zero when nobody subscribes. The read
 // half pins the one frame reader: zero allocations per price-tick frame
 // off a socket and out of a log file, and no large block for a length
-// prefix that lies. A count does not drift with the host's speed, so it
-// gates hard where a timing cannot.
+// prefix that lies. The generators' workers allocate nothing at all. A
+// count does not drift with the host's speed, so it gates hard where a
+// timing cannot.
 //
 // The replacement forwards to malloc/free, so the sanitizers still see
 // every block; every new/delete form that could otherwise pair a
@@ -37,6 +38,7 @@
 #include "core/experiment.h"
 #include "core/simulation.h"
 #include "core/workload.h"
+#include "market/market_simulator.h"
 #include "net/feed_client.h"
 #include "net/socket.h"
 #include "net/subscriber_hub.h"
@@ -45,16 +47,22 @@
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "test_support.h"
+#include "traffic/trace_generator.h"
 
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
 std::atomic<std::size_t> g_largest{0};  ///< the largest block asked for
+std::atomic<std::thread::id> g_owner{};  ///< the thread a test runs on
+std::atomic<std::int64_t> g_off_owner{0};  ///< allocations off g_owner
 
 // Out of line, so that GCC does not see malloc and free paired with
 // new and delete at inlined call sites (-Wmismatched-new-delete).
 [[gnu::noinline]] void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (std::this_thread::get_id() != g_owner.load(std::memory_order_relaxed)) {
+    g_off_owner.fetch_add(1, std::memory_order_relaxed);
+  }
   std::size_t largest = g_largest.load(std::memory_order_relaxed);
   while (size > largest &&
          !g_largest.compare_exchange_weak(largest, size,
@@ -312,6 +320,24 @@ TEST(AllocFreeLive, HubPublishWithoutSubscribersAllocatesNothing) {
   }
   EXPECT_EQ(allocations() - before, 0);
   hub.stop();
+}
+
+// --- the generators ----------------------------------------------------------
+
+// MarketSimulator and TraceGenerator build every task on the calling
+// thread; their workers only draw and write pre-sized rows. A worker
+// that allocated would get a glibc arena of its own, kept for the rest
+// of the process.
+TEST(AllocFreeGenerators, GenerationWorkersAllocateNothing) {
+  const market::MarketSimulator sim(test::kTestSeed);
+  const traffic::TraceGenerator gen(test::kTestSeed + 1);
+  g_owner.store(std::this_thread::get_id());
+  const std::int64_t before = g_off_owner.load();
+  const market::PriceSet prices = sim.generate(trace_period());
+  const traffic::TrafficTrace trace = gen.generate(trace_period());
+  EXPECT_EQ(g_off_owner.load() - before, 0);
+  EXPECT_EQ(prices.period, trace_period());
+  EXPECT_EQ(trace.period(), trace_period());
 }
 
 // --- the read half -----------------------------------------------------------

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "market/market_simulator.h"
 #include "stats/descriptive.h"
+#include "test_support.h"
 
 namespace cebis::market {
 namespace {
@@ -135,6 +138,65 @@ TEST(MarketSimulator, NorthwestDailySeries) {
     EXPECT_GT(v, 1.0);
     EXPECT_LT(v, 200.0);
   }
+}
+
+/// Digest of every bit generate() returns: the period, the sampling and
+/// each hub's rt and da series in hub order.
+std::uint64_t digest(const PriceSet& set) {
+  test::BitDigest d;
+  d.add(static_cast<std::uint64_t>(set.period.begin));
+  d.add(static_cast<std::uint64_t>(set.period.end));
+  d.add(static_cast<std::uint64_t>(set.samples_per_hour));
+  for (const auto* side : {&set.rt, &set.da}) {
+    for (const PriceSeries& series : *side) {
+      d.add(static_cast<std::uint64_t>(series.size()));
+      for (const double v : series.values()) d.add(v);
+    }
+  }
+  return d.value;
+}
+
+struct GoldenMarket {
+  const char* window;
+  Period period;
+  int samples_per_hour;
+  std::uint64_t digest;
+};
+
+/// Golden digests of generate(), captured from the generator as it was
+/// before its draws and its per-RTO fan-out were rewritten: every output
+/// bit must stay the same. The windows that start after the study epoch
+/// also pin the draws each unemitted hour makes.
+void expect_golden_market(std::uint64_t seed,
+                          std::initializer_list<GoldenMarket> cases) {
+  const MarketSimulator sim(seed);
+  for (const GoldenMarket& c : cases) {
+    SCOPED_TRACE(c.window);
+    EXPECT_EQ(digest(sim.generate(c.period, c.samples_per_hour)), c.digest);
+  }
+}
+
+Period hours_1000_to_1100_of_2006() {
+  const HourIndex epoch = study_period().begin;
+  return Period{epoch + 1000, epoch + 1100};
+}
+
+TEST(MarketSimulator, GoldenDigestsSeed2009) {
+  expect_golden_market(
+      2009, {{"24-day hourly", trace_period(), 1, 0x22af0fad151950a8ULL},
+             {"24-day 5-minute", trace_period(), 12, 0xb7736341a0a7f307ULL},
+             {"hours 1000-1100", hours_1000_to_1100_of_2006(), 1,
+              0x80b11655e3a5f42eULL},
+             {"full study hourly", study_period(), 1, 0x7940e624b205f837ULL}});
+}
+
+TEST(MarketSimulator, GoldenDigestsSeed42) {
+  expect_golden_market(
+      42, {{"24-day hourly", trace_period(), 1, 0x8f7fa439a7acbbb6ULL},
+           {"24-day 5-minute", trace_period(), 12, 0x5798c9df5bc2d300ULL},
+           {"hours 1000-1100", hours_1000_to_1100_of_2006(), 1,
+            0x32247191c9b4706eULL},
+           {"full study hourly", study_period(), 1, 0x0b6685f59a192b8fULL}});
 }
 
 TEST(HourlySeries, SliceAndAccessors) {

@@ -34,10 +34,13 @@ TEST(Matrix, VectorProduct) {
   m.at(1, 0) = 3.0;
   m.at(1, 1) = 4.0;
   const std::vector<double> v = {1.0, 1.0};
-  const auto out = m.mul(v);
+  std::vector<double> out(2, 0.0);
+  m.mul(v, out);
   EXPECT_DOUBLE_EQ(out[0], 3.0);
   EXPECT_DOUBLE_EQ(out[1], 7.0);
-  EXPECT_THROW((void)m.mul(std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_THROW(m.mul(std::vector<double>{1.0}, out), std::invalid_argument);
+  std::vector<double> short_out(1, 0.0);
+  EXPECT_THROW(m.mul(v, short_out), std::invalid_argument);
 }
 
 TEST(Matrix, MatrixProductAndTranspose) {

@@ -78,10 +78,12 @@ TEST(PriceModel, GasSensitivityOrdering) {
 TEST(PriceModel, DeterministicShapeComposition) {
   // An ERCOT hub in July 2008, 5pm local: every multiplier is above 1.
   const HourIndex jul2008_5pm_ct = hour_at(CivilDate{2008, 7, 9}, 23);  // 17:00 CST
-  const double shape = deterministic_shape(jul2008_5pm_ct, -6, Rto::kErcot);
+  const CivilDate date = date_of(jul2008_5pm_ct);
+  const double shape = deterministic_shape(jul2008_5pm_ct, date, -6, Rto::kErcot);
   EXPECT_GT(shape, 1.5);
   // Northwest at the same instant: no gas exposure, flat hydro summer.
-  const double nw = deterministic_shape(jul2008_5pm_ct, -8, Rto::kNonMarket);
+  const double nw =
+      deterministic_shape(jul2008_5pm_ct, date, -8, Rto::kNonMarket);
   EXPECT_LT(nw, shape);
 }
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -94,6 +97,82 @@ TEST(Rng, IndexInRange) {
     EXPECT_LT(rng.index(7), 7u);
   }
 }
+
+#if defined(__GLIBCXX__)
+/// An engine that returns one fixed word, to feed generate_canonical.
+struct OneWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// uniform() and normal() are rng.h's own code. They must draw exactly
+// what libstdc++'s distributions draw from the same engine, or every
+// pinned figure row moves.
+TEST(Rng, DrawsMatchLibstdcxxDistributions) {
+  // The conversion on words whose rounding is at an edge: ties to even
+  // at 2^53 + 1 and 2^63 + 1024 (both down), up at 2^63 + 1025, the
+  // largest word that stays below 1 (2^64 - 2048), and 2^64 - 1, which
+  // rounds to 1 and must come back as the largest double below it.
+  const std::uint64_t max = ~std::uint64_t{0};
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, (std::uint64_t{1} << 53) + 1,
+        (std::uint64_t{1} << 63) + 1024, (std::uint64_t{1} << 63) + 1025,
+        max - 2047, max}) {
+    OneWord engine{word};
+    EXPECT_EQ(bits(canonical_from_word(word)),
+              bits(std::generate_canonical<double, 53>(engine)))
+        << "word " << word;
+  }
+  EXPECT_EQ(canonical_from_word(max), std::nextafter(1.0, 0.0));
+
+  // A seeded random mix of every draw built on uniform() and normal(),
+  // against a twin engine run through one std distribution of each kind,
+  // so the saved second normal carries across the other calls.
+  for (const std::uint64_t seed : {1ULL, 2009ULL, 0x9e3779b97f4a7c15ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 twin(splitmix64(seed));
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    std::normal_distribution<double> normal(0.0, 1.0);
+    std::mt19937_64 pick(seed ^ 0x5bd1e995ULL);
+    for (int i = 0; i < 1000000; ++i) {
+      double got = 0.0;
+      double want = 0.0;
+      switch (pick() % 6) {
+        case 0:
+          got = rng.uniform();
+          want = uniform(twin);
+          break;
+        case 1:
+          got = rng.uniform(-3.0, 7.5);
+          want = -3.0 + (7.5 - -3.0) * uniform(twin);
+          break;
+        case 2:
+          got = rng.normal();
+          want = 0.0 + 1.0 * normal(twin);
+          break;
+        case 3:
+          got = rng.normal(40.0, 12.5);
+          want = 40.0 + 12.5 * normal(twin);
+          break;
+        case 4:
+          got = rng.bernoulli(0.3) ? 1.0 : 0.0;
+          want = uniform(twin) < 0.3 ? 1.0 : 0.0;
+          break;
+        default:
+          got = rng.pareto(20.0, 1.8);
+          want = 20.0 / std::pow(1.0 - uniform(twin), 1.0 / 1.8);
+          break;
+      }
+      ASSERT_EQ(bits(got), bits(want)) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+#endif  // __GLIBCXX__
 
 TEST(Rng, SplitmixAvalanche) {
   // Neighbouring inputs should produce wildly different outputs.

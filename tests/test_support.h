@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -53,6 +54,22 @@ inline constexpr std::uint64_t kTestSeed = 2009;
 [[nodiscard]] inline stats::Rng test_rng(std::uint64_t stream = 0) {
   return stats::Rng(kTestSeed).split(stream);
 }
+
+// -- Golden digests --------------------------------------------------------
+
+/// FNV-1a over 64-bit words, fed doubles by their bit patterns: a golden
+/// digest of a generator's output changes if any output bit does.
+struct BitDigest {
+  std::uint64_t value = 0xcbf29ce484222325ULL;
+
+  void add(std::uint64_t word) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      value ^= (word >> shift) & 0xffU;
+      value *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
 
 // -- Tmp-file fixtures (io tests) ------------------------------------------
 
