@@ -4,10 +4,12 @@
 // savings measure how much of the paper's effect needs price *spikes*
 // versus plain level differences and diurnal structure.
 
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
-#include "market/market_simulator.h"
+#include "market/lazy_price_history.h"
+#include "market/price_model.h"
 
 int main(int argc, char** argv) {
   using namespace cebis;
@@ -16,17 +18,17 @@ int main(int argc, char** argv) {
                 "24-day savings with the full market vs a spike-free market "
                 "((0%,1.1) and google models, 1500 km, relax 95/5)");
 
-  // Build a second fixture whose prices come from a spike-free market.
+  // Build a second fixture whose prices come from a spike-free market
+  // (generated lazily, like the default one, for the hours it replays).
   market::PriceModelParams calm = market::PriceModelParams::defaults();
   calm.spikes.onset_per_hour = 0.0;
   calm.spikes.rto_event_per_hour = 0.0;
   calm.spikes.scarcity_per_hour = 0.0;
-  const market::MarketSimulator calm_sim(market::HubRegistry::instance(), calm,
-                                         seed);
 
   core::Fixture fx = core::Fixture::make(seed);
   core::Fixture fx_calm = core::Fixture::make(seed);
-  fx_calm.set_prices(calm_sim.generate(study_period()));
+  fx_calm.price_history =
+      std::make_shared<market::LazyPriceHistory>(seed, calm);
 
   io::Table table({"energy model", "savings full (%)", "savings no-spikes (%)"});
   io::CsvWriter csv(bench::csv_path("ablation_spike_model"));

@@ -2,9 +2,10 @@
 //
 // BM_LiveIngest drives a full LiveEngine session - tick ingestion,
 // seal-gated stepping, event logging to /dev/null-equivalent tmp file -
-// and reports ticks/second; BM_LogReplay measures re-running a recorded
-// log through the batch engine; BM_EventLogScan isolates the binary
-// format itself (read + CRC of every frame).
+// and reports ticks/second; BM_LogReplay measures reading a recorded
+// log and re-feeding it to a fresh LiveEngine (service::replay_file);
+// BM_EventLogScan isolates the binary format itself (read + CRC of
+// every frame).
 
 #include <benchmark/benchmark.h>
 

@@ -1,12 +1,13 @@
-// Replays a recorded live-session event log through the batch engine.
+// Replays a recorded live-session event log.
 //
 // Reads the log (validating the header and every frame's CRC), prints
-// the recorded session's configuration, rebuilds the environment from
-// the fixture named by the recorded seed, and re-runs the session
-// through SimulationEngine::run - the plain batch path. The totals
-// printed here are bit-identical to what the live session reported
-// (the replay-equals-live contract; cebis_serve verifies it inline,
-// tests/test_replay_equals_live.cpp pins it).
+// the recorded session's configuration, rebuilds the fixture named by
+// the recorded seed, and re-feeds every recorded tick and step to a
+// fresh LiveEngine built from the logged configuration
+// (service::replay). The totals printed here are bit-identical to what
+// the live session reported (the replay-equals-live contract;
+// cebis_serve verifies it inline, tests/test_replay_equals_live.cpp
+// pins it). A log whose ticks stop short of a step's prices is refused.
 //
 // Usage: cebis_replay <event-log>
 

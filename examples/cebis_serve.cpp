@@ -9,7 +9,8 @@
 //              advances as the tick stream seals each step's prices.
 //              Every input lands in the binary event log BEFORE it
 //              takes effect, so the recorded session replays
-//              bit-identically through the batch engine.
+//              bit-identically (service::replay re-feeds it to a
+//              fresh LiveEngine).
 //   subscribe  streaming clients get per-step RoutingDecision,
 //              Telemetry and SealHeadroom frames (bounded queues,
 //              drop-oldest - a slow or killed client never stalls the
@@ -19,9 +20,9 @@
 // A feeder that disconnects (or whose frames arrive torn) is dropped
 // with the defect logged; the session stays open and a reconnecting
 // feeder resumes from the server's cursor. The server exits after one
-// completed feed - with --replay-check it then re-runs the log through
-// the batch engine and fails loudly (exit 1) unless every RunResult
-// field matches bit-for-bit.
+// completed feed - with --replay-check it then replays the log and
+// fails loudly (exit 1) unless every RunResult field matches
+// bit-for-bit.
 
 #include <cstdio>
 #include <string>
@@ -112,8 +113,7 @@ int main(int argc, char** argv) {
   tracer.write(metrics_dir + "/cebis_serve_trace.json");
 
   if (replay_check) {
-    std::printf("replaying %s through the batch engine...\n",
-                options.log_path.c_str());
+    std::printf("replaying %s...\n", options.log_path.c_str());
     const core::Fixture fixture = core::Fixture::make(report.meta.seed);
     const core::RunResult replayed =
         service::replay_file(fixture, options.log_path);

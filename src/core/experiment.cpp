@@ -73,15 +73,6 @@ Fixture Fixture::make(std::uint64_t seed) {
 }
 
 std::size_t Fixture::cheapest_cluster() const {
-  // Memoized: the first call reduces the study period to per-hub means
-  // (LazyPriceHistory::study_rt_means - the full 39-month set is never
-  // retained on its behalf) and publishes the argmin; later calls are a
-  // single atomic load, safe from any thread. The first call itself
-  // materializes lazily and belongs in a serial section - run_scenarios
-  // resolves it in the plan phase, before cells fan out.
-  const std::int64_t memo = cheapest_memo->load(std::memory_order_acquire);
-  if (memo >= 0) return static_cast<std::size_t>(memo);
-
   const std::vector<double>& means = price_history->study_rt_means();
   std::size_t best = 0;
   double best_mean = std::numeric_limits<double>::infinity();
@@ -92,8 +83,6 @@ std::size_t Fixture::cheapest_cluster() const {
       best = c;
     }
   }
-  cheapest_memo->store(static_cast<std::int64_t>(best),
-                       std::memory_order_release);
   return best;
 }
 
@@ -234,7 +223,7 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
         .set(static_cast<double>(fixture.price_history->materialized_hours()));
     metrics
         .gauge("cebis_price_history_generations",
-               "Price-set (re)generations incl. widenings and pinning")
+               "Price-set (re)generations incl. widenings")
         .set(static_cast<double>(fixture.price_history->generations()));
     metrics
         .counter("cebis_sweep_cells_total", "Sweep cells executed")
@@ -285,22 +274,17 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   const sweep_clock::time_point run_t0 = sweep_clock::now();
   WorkerStats worker_stats;
-  if (threads <= 1) {
-    // The historical serial path, byte-for-byte: every cell in spec
-    // order on the calling thread, first failure aborts the sweep.
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  } else {
-    // Pinned cells first, in spec order, on the calling thread (their
-    // observers may mutate caller state); a pinned failure skips the
-    // fan-out. Then the pool covers the pure cells; `pooled` is sorted,
-    // so parallel_for_index's lowest-index exception contract reports
-    // the lowest throwing *spec* index.
-    for (const std::size_t i : pinned) run_cell(i);
-    parallel_for_index(
-        static_cast<std::int64_t>(pooled.size()), threads,
-        [&](std::int64_t j) { run_cell(pooled[static_cast<std::size_t>(j)]); },
-        options.taps.metrics != nullptr ? &worker_stats : nullptr);
-  }
+  // Pinned cells first, in spec order, on the calling thread (their
+  // observers may mutate caller state); a pinned failure skips the
+  // fan-out. Then the pool covers the pure cells (width 1 is an
+  // in-order loop on the calling thread); `pooled` is sorted, so
+  // parallel_for_index's lowest-index exception contract reports the
+  // lowest throwing *spec* index among them.
+  for (const std::size_t i : pinned) run_cell(i);
+  parallel_for_index(
+      static_cast<std::int64_t>(pooled.size()), threads,
+      [&](std::int64_t j) { run_cell(pooled[static_cast<std::size_t>(j)]); },
+      options.taps.metrics != nullptr ? &worker_stats : nullptr);
   local.run_wall_ms = ms_since(run_t0);
   for (std::size_t i = 0; i < local.cell_wall_ms.size(); ++i) {
     if (local.cell_wall_ms[i] > local.cell_wall_ms[local.slowest_cell]) {

@@ -23,7 +23,6 @@
 // in spec order, because the runner cannot prove caller code is
 // thread-safe.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -43,7 +42,11 @@ struct Fixture {
 
   /// Lazily materialized price history (see market/lazy_price_history.h).
   /// Access through prices()/prices_covering(), which materialize on
-  /// demand; shared so Fixture copies stay cheap and consistent.
+  /// demand; shared so Fixture copies stay cheap and consistent. An
+  /// ablation swaps in a different market by pointing this at a
+  /// LazyPriceHistory over other PriceModelParams (as
+  /// bench_ablation_spike_model does); copies made before the swap keep
+  /// the old history.
   std::shared_ptr<market::LazyPriceHistory> price_history;
   traffic::TrafficTrace trace;
   traffic::BaselineAllocation allocation;
@@ -71,32 +74,15 @@ struct Fixture {
       Period need, int samples_per_hour = 1) const {
     return price_history->cover(need, samples_per_hour);
   }
-  /// Replaces the price history with an explicit set (ablations).
-  /// NOTE: the history is shared across Fixture copies, so pinning
-  /// reaches every copy - use an independently made Fixture for an
-  /// alternate market (as bench_ablation_spike_model does).
-  void set_prices(market::PriceSet prices) {
-    price_history->pin(std::move(prices));
-    cheapest_memo->store(-1);  // the relocation target must re-derive
-  }
 
   /// Index of the cluster whose hub has the lowest mean RT price over
-  /// the study period (the static relocation target of §6.3). The index
-  /// is *defined over the full study period* - the first call walks all
-  /// 28464 study hours (via LazyPriceHistory::study_rt_means, which
-  /// reduces them to per-hub means without retaining the 39-month set)
-  /// - and is memoized, shared across Fixture copies like the history
-  /// itself. The first call materializes lazily and must not race
-  /// (run_scenarios resolves it in its serial plan phase); memoized
-  /// reads are safe from any thread.
+  /// the study period (the static relocation target of §6.3): the
+  /// argmin over LazyPriceHistory::study_rt_means, which walks all
+  /// 28464 study hours once, reduces them to per-hub means without
+  /// retaining the 39-month set, and memoizes them. That first walk
+  /// materializes lazily and must not race (run_scenarios resolves it
+  /// in its serial plan phase); later calls only read the means.
   [[nodiscard]] std::size_t cheapest_cluster() const;
-
-  /// Memoized cheapest_cluster result (-1 = unresolved). Shared across
-  /// copies - consistent with the shared price history the index is
-  /// derived from - and reset by set_prices() (pinning swaps the
-  /// market, so the relocation target must re-derive).
-  std::shared_ptr<std::atomic<std::int64_t>> cheapest_memo =
-      std::make_shared<std::atomic<std::int64_t>>(-1);
 };
 
 /// How a batched sweep was scheduled and how long its phases took.
@@ -123,9 +109,9 @@ struct SweepStats {
 /// Execution knobs for run_scenarios' fan-out phase.
 struct SweepOptions {
   /// Worker count for the run phase. 0 = hardware_concurrency; 1 runs
-  /// every cell on the calling thread in spec order (the historical
-  /// serial path - results are byte-identical either way, guarded in
-  /// tests/test_scenario_api.cpp). Clamped to the parallel cell count.
+  /// every cell on the calling thread (results are byte-identical at
+  /// any width, guarded in tests/test_scenario_api.cpp). Clamped to the
+  /// parallel cell count.
   int threads = 0;
 
   /// Observability taps (obs::Taps) threaded through every engine the
@@ -171,10 +157,13 @@ struct RunPlan {
 /// concurrently (SweepOptions::threads) but land in a pre-sized vector
 /// indexed by spec position, and the plan phase (construction, lazy
 /// price materialization) stays serial, so output is independent of
-/// scheduling. A cell that throws mid-run stops the distribution of
-/// unstarted cells and rethrows after every in-flight cell completed
-/// (lowest throwing spec index wins). `stats`, when given, reports how
-/// the sweep was scheduled and timed.
+/// scheduling. Cells pinned to the calling thread run first, in spec
+/// order, then the pool runs the rest. A pinned cell that throws
+/// aborts the sweep before any pooled cell starts; a pooled cell that
+/// throws stops the distribution of unstarted cells and rethrows after
+/// every in-flight cell completed (lowest throwing spec index among
+/// the pooled cells wins). `stats`, when given, reports how the sweep
+/// was scheduled and timed.
 [[nodiscard]] std::vector<RunResult> run_scenarios(
     const Fixture& fixture, std::span<const ScenarioSpec> specs,
     const SweepOptions& options, SweepStats* stats = nullptr);

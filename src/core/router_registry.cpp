@@ -76,13 +76,6 @@ const RouterEntry& RouterRegistry::at(std::string_view name) const {
   return it->second;
 }
 
-std::vector<std::string> RouterRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
 void register_builtin_routers(RouterRegistry& registry) {
   registry.add("baseline",
                RouterEntry{

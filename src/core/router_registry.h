@@ -54,7 +54,6 @@ class RouterRegistry {
   [[nodiscard]] bool contains(std::string_view name) const noexcept;
   /// Throws std::invalid_argument (with the name) when not registered.
   [[nodiscard]] const RouterEntry& at(std::string_view name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   std::map<std::string, RouterEntry, std::less<>> entries_;

@@ -22,47 +22,6 @@ const PriceSet& LazyPriceHistory::cover(Period need,
     throw std::invalid_argument(
         "LazyPriceHistory::cover: samples_per_hour must divide 60");
   }
-  if (pinned_) {
-    const auto pinned_it = current_.find(samples_per_hour);
-    if (pinned_it != current_.end()) return *pinned_it->second;
-    // Any other resolution derives from the pinned market's hourly view
-    // once and is cached (the pinned set covers every window
-    // unconditionally, so there is no widening to track). A sub-hourly
-    // pinned set first settles to its hour means; a finer request then
-    // synthesizes calibrated intra-hour structure around them
-    // (sub_hourly_view, honoring each hub's native settlement).
-    if (current_.find(1) == current_.end()) {
-      const PriceSet& base = *current_.begin()->second;
-      auto hourly = std::make_unique<PriceSet>();
-      hourly->period = base.period;
-      hourly->da = base.da;
-      hourly->rt.resize(base.rt.size());
-      for (std::size_t h = 0; h < base.rt.size(); ++h) {
-        if (base.rt[h].empty()) continue;
-        std::vector<double> means;
-        means.reserve(static_cast<std::size_t>(base.period.hours()));
-        for (HourIndex t = base.period.begin; t < base.period.end; ++t) {
-          means.push_back(base.rt[h].at(t));
-        }
-        hourly->rt[h] = PriceSeries(base.period, std::move(means));
-      }
-      store(std::move(hourly));
-    }
-    const PriceSet& hourly = *current_.at(1);
-    if (samples_per_hour == 1) return hourly;
-    auto derived = std::make_unique<PriceSet>();
-    derived->period = hourly.period;
-    derived->samples_per_hour = samples_per_hour;
-    derived->rt.resize(hourly.rt.size());
-    derived->da = hourly.da;
-    for (std::size_t h = 0; h < hourly.rt.size(); ++h) {
-      if (hourly.rt[h].empty()) continue;
-      derived->rt[h] = sim_.sub_hourly_view(
-          HubId{static_cast<std::int32_t>(h)}, hourly.rt[h], samples_per_hour);
-    }
-    return store(std::move(derived));
-  }
-
   // Clamp to the study period: the generator refuses pre-epoch hours,
   // and hours past the study end were never priced under the eager
   // fixture either (access beyond the set throws, as before).
@@ -90,24 +49,19 @@ const std::vector<double>& LazyPriceHistory::study_rt_means() const {
   if (study_rt_means_.has_value()) return *study_rt_means_;
   ++study_mean_passes_;
 
-  // Pick the cheapest exact source: the pinned market's hourly view
-  // (the pin contract: the caller took over price generation), the
-  // already-materialized full hourly set if one exists, else a scratch
-  // generation of the study period that is reduced to means and
-  // dropped - window-invariance makes the scratch values byte-identical
-  // to full()'s, without retaining 39 months in the history.
+  // Pick the cheapest exact source: the already-materialized full
+  // hourly set if one exists, else a scratch generation of the study
+  // period that is reduced to means and dropped - window-invariance
+  // makes the scratch values byte-identical to full()'s, without
+  // retaining 39 months in the history.
   const PriceSet* src = nullptr;
   std::unique_ptr<PriceSet> scratch;
-  if (pinned_) {
-    src = &cover(study_period(), 1);
+  const auto it = current_.find(1);
+  if (it != current_.end() && it->second->period == study_period()) {
+    src = it->second;
   } else {
-    const auto it = current_.find(1);
-    if (it != current_.end() && it->second->period == study_period()) {
-      src = it->second;
-    } else {
-      scratch = std::make_unique<PriceSet>(sim_.generate(study_period(), 1));
-      src = scratch.get();
-    }
+    scratch = std::make_unique<PriceSet>(sim_.generate(study_period(), 1));
+    src = scratch.get();
   }
 
   std::vector<double> means(src->rt.size(),
@@ -117,18 +71,6 @@ const std::vector<double>& LazyPriceHistory::study_rt_means() const {
   }
   study_rt_means_ = std::move(means);
   return *study_rt_means_;
-}
-
-void LazyPriceHistory::pin(PriceSet set) {
-  // Previously returned sets stay alive (stable-address contract); only
-  // the lookup table is replaced so every future request resolves
-  // against the pinned market - including the memoized study means,
-  // which must re-derive from the pinned market.
-  study_rt_means_.reset();
-  current_.clear();
-  sets_.push_back(std::make_unique<PriceSet>(std::move(set)));
-  current_[sets_.back()->samples_per_hour] = sets_.back().get();
-  pinned_ = true;
 }
 
 }  // namespace cebis::market

@@ -18,6 +18,10 @@
 // independently per resolution so an hourly sweep never pays for
 // 5-minute samples and vice versa.
 //
+// A history serves one market: the one its PriceModelParams describe.
+// A run on another market uses another history - a Fixture's
+// price_history is replaced whole, as bench_ablation_spike_model does.
+//
 // Growth is monotone and previously returned sets are retained (stable
 // addresses), so a `const PriceSet&` handed to a SimulationEngine stays
 // valid after a later, wider request.
@@ -36,17 +40,25 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/simtime.h"
+#include "market/hub.h"
 #include "market/market_simulator.h"
+#include "market/price_model.h"
 #include "market/price_series.h"
 
 namespace cebis::market {
 
 class LazyPriceHistory {
  public:
-  explicit LazyPriceHistory(std::uint64_t seed) : sim_(seed) {}
+  /// The history of the market `params` describe (the default registry's
+  /// hubs), generated from `seed`.
+  explicit LazyPriceHistory(
+      std::uint64_t seed,
+      PriceModelParams params = PriceModelParams::defaults())
+      : sim_(HubRegistry::instance(), std::move(params), seed) {}
 
   /// The narrowest materialized set covering `need` (clamped to the
   /// study period) at the requested native interval (samples_per_hour
@@ -69,19 +81,8 @@ class LazyPriceHistory {
   /// never otherwise requested: the scratch set is generated, reduced
   /// to one mean per hub and discarded, so a short-window sweep that
   /// needs the static-relocation target (Fixture::cheapest_cluster)
-  /// does not keep 28464 hours x hubs alive. A pinned history derives
-  /// the means from the pinned market's hourly view instead.
+  /// does not keep 28464 hours x hubs alive.
   [[nodiscard]] const std::vector<double>& study_rt_means() const;
-
-  /// Replaces the history with an explicit set (ablations that swap in
-  /// a differently parameterized market). Subsequent cover()/full()
-  /// calls at the set's own samples_per_hour return it unconditionally;
-  /// any other resolution derives from it once and is cached - a
-  /// sub-hourly pinned set settles to its hour means for hourly
-  /// requests, and finer requests synthesize calibrated intra-hour
-  /// structure around the hourly view (honoring each hub's native
-  /// settlement interval).
-  void pin(PriceSet set);
 
   /// Hours covered by the current widest materialized *hourly* set (0
   /// before the first request). Lets tests assert that short-window
@@ -91,7 +92,7 @@ class LazyPriceHistory {
     return it != current_.end() ? it->second->period.hours() : 0;
   }
   /// How many sets have been generated, across all resolutions
-  /// (regenerations due to widening included; pinning counts as one).
+  /// (regenerations due to widening included).
   [[nodiscard]] std::size_t generations() const noexcept {
     return sets_.size();
   }
@@ -111,10 +112,9 @@ class LazyPriceHistory {
   mutable std::vector<std::unique_ptr<PriceSet>> sets_;
   // Widest set so far per native interval (samples_per_hour -> set).
   mutable std::map<int, const PriceSet*> current_;
-  // Memoized study-period per-hub rt means (invalidated by pin()).
+  // Memoized study-period per-hub rt means.
   mutable std::optional<std::vector<double>> study_rt_means_;
   mutable std::size_t study_mean_passes_ = 0;
-  bool pinned_ = false;
 };
 
 }  // namespace cebis::market

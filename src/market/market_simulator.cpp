@@ -58,21 +58,6 @@ void expect_divides_hour(int samples_per_hour, const char* who) {
   }
 }
 
-/// Validates a sub-hourly view request: a known hub, an interval
-/// dividing the hour and an hourly-sampled base series.
-void expect_sub_hourly_request(const HubRegistry& hubs, HubId hub,
-                               const HourlySeries& hourly,
-                               int samples_per_hour, const char* who) {
-  if (!hub.valid() || hub.index() >= hubs.size()) {
-    throw std::out_of_range(std::string(who) + ": bad hub");
-  }
-  expect_divides_hour(samples_per_hour, who);
-  if (hourly.samples_per_hour() != 1) {
-    throw std::invalid_argument(std::string(who) +
-                                ": base series must be hourly");
-  }
-}
-
 /// One market RTO's share of generate(). Every stream it draws from
 /// belongs to the RTO (regional, fast-regional, local, scarcity, event)
 /// or to one of its hubs (spike, micro, day-ahead), except the national
@@ -374,18 +359,16 @@ PriceSet MarketSimulator::generate(const Period& period,
   return set;
 }
 
-PriceSeries MarketSimulator::sub_hourly_view(HubId hub,
-                                             const HourlySeries& hourly,
-                                             int samples_per_hour) const {
-  expect_sub_hourly_request(hubs_, hub, hourly, samples_per_hour,
-                            "sub_hourly_view");
-  return intra_hour_view(hub, hourly, samples_per_hour, 0);
-}
-
 std::vector<double> MarketSimulator::sub_hourly_series(
     HubId hub, const HourlySeries& hourly, int samples_per_hour) const {
-  expect_sub_hourly_request(hubs_, hub, hourly, samples_per_hour,
-                            "sub_hourly_series");
+  if (!hub.valid() || hub.index() >= hubs_.size()) {
+    throw std::out_of_range("sub_hourly_series: bad hub");
+  }
+  expect_divides_hour(samples_per_hour, "sub_hourly_series");
+  if (hourly.samples_per_hour() != 1) {
+    throw std::invalid_argument(
+        "sub_hourly_series: base series must be hourly");
+  }
   return intra_hour_samples(hub, hourly.values(), samples_per_hour, 0);
 }
 

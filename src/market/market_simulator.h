@@ -74,15 +74,6 @@ class MarketSimulator {
                                                       const HourlySeries& hourly,
                                                       int samples_per_hour) const;
 
-  /// sub_hourly_series with the hub's native settlement honored, as a
-  /// ready PriceSeries: hubs whose market settles no finer than the
-  /// requested interval (HubInfo::rt_interval_minutes) get flat hours,
-  /// exactly like generate(period, samples_per_hour). Used to derive
-  /// sub-hourly views of an explicit (pinned) hourly market.
-  [[nodiscard]] PriceSeries sub_hourly_view(HubId hub,
-                                            const HourlySeries& hourly,
-                                            int samples_per_hour) const;
-
   /// Daily day-ahead *peak* averages (Fig 3). Works for hourly hubs (via
   /// their DA series) and for the daily-only Northwest hub (dedicated
   /// low-volatility hydro process).
@@ -97,15 +88,17 @@ class MarketSimulator {
   PriceModelParams params_;
   std::uint64_t seed_;
 
-  /// `hourly` at `samples_per_hour`: the one flat-hour rule (a hub whose
-  /// market settles coarser repeats each hour), else intra_hour_samples.
+  /// `hourly` at `samples_per_hour` for generate(): the one flat-hour
+  /// rule (a hub whose market settles coarser repeats each hour), else
+  /// intra_hour_samples.
   [[nodiscard]] PriceSeries intra_hour_view(HubId hub,
                                             const HourlySeries& hourly,
                                             int samples_per_hour,
                                             std::int64_t warmup_hours) const;
   /// The one intra-hour sampler: the hub's AR(1) stream around `hourly`
   /// after `warmup_hours` hours of draws consumed unemitted (the hours
-  /// from the study epoch to generate()'s window; 0 for the views).
+  /// from the study epoch to generate()'s window; 0 for
+  /// sub_hourly_series).
   [[nodiscard]] std::vector<double> intra_hour_samples(
       HubId hub, std::span<const double> hourly, int samples_per_hour,
       std::int64_t warmup_hours) const;

@@ -170,7 +170,7 @@ struct Server::Impl {
       t.savings_mean = tel.savings_usd_per_step.mean();
       t.savings_ewma = tel.savings_usd_per_step.ewma();
     }
-    t.plan_rebuilds = tel.plan_rebuilds;
+    t.plan_rebuilds = live->plan_rebuilds();
     payload.clear();
     encode_telemetry(payload, t);
     hub.publish(static_cast<std::uint8_t>(NetFrameType::kTelemetry), payload);

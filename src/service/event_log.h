@@ -8,7 +8,7 @@
 // the engine ingested, every workload step it advanced, and - as audit
 // records - the routing decision and battery action of each step. The
 // inputs (meta + ticks + steps) are sufficient to re-run the session
-// through the batch engine; doubles round-trip as raw IEEE-754 bits, so
+// on a fresh LiveEngine; doubles round-trip as raw IEEE-754 bits, so
 // the replay sees byte-identical inputs and the determinism guards make
 // its RunResult byte-identical too (the replay-equals-live contract,
 // see service/replay.h).
@@ -73,7 +73,7 @@ struct SessionSpec {
   /// delay_steps native intervals back; 0 uses delay_hours).
   int delay_steps = 0;
   /// Attach a native-interval HourlyEnergyRecorder (per-interval rows in
-  /// RunResult::hourly_energy); replay attaches one too.
+  /// RunResult::hourly_energy); replay, a LiveEngine, does too.
   bool record_hourly_energy = false;
   /// Battery storage behind every cluster (see core::StorageSpec; the
   /// loggable subset only - empty per_cluster, default policy_config).

@@ -319,11 +319,6 @@ void LiveEngine::advance(std::span<const double> demand) {
                                           bill_step);
     im.prev_shadow_cost = shadow_cost;
   }
-  for (const core::RouterCounter& counter : im.router->counters()) {
-    if (counter.name == "plan_rebuilds") {
-      im.telemetry.plan_rebuilds = counter.value;
-    }
-  }
 
   if (im.g_seal_headroom.live()) {
     im.g_seal_headroom.set(static_cast<double>(sealed - need));
@@ -392,6 +387,13 @@ std::size_t LiveEngine::cluster_count() const noexcept {
 
 const LiveTelemetry& LiveEngine::telemetry() const noexcept {
   return impl_->telemetry;
+}
+
+std::int64_t LiveEngine::plan_rebuilds() const {
+  for (const core::RouterCounter& counter : impl_->router->counters()) {
+    if (counter.name == "plan_rebuilds") return counter.value;
+  }
+  return 0;
 }
 
 }  // namespace cebis::service

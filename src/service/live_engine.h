@@ -21,14 +21,16 @@
 // finish), a live run is byte-identical to the batch run over the same
 // inputs. Every input is optionally recorded to an EventLog
 // (service/event_log.h) as it arrives, and service/replay.h re-runs a
-// recorded log through the plain batch path - replay-equals-live is the
-// headline contract, pinned in tests/test_replay_equals_live.cpp.
+// recorded log by re-feeding it to a fresh LiveEngine - so a replay is
+// built exactly as the session was. Replay-equals-live is the headline
+// contract, pinned in tests/test_replay_equals_live.cpp.
 //
 // Between steps the engine exposes rolling telemetry: bill rate and
-// savings-vs-baseline (per-step dollars through RollingEstimators), and
-// the price-aware router's plan-rebuild counter. Savings come from a
-// shadow baseline session stepped in lockstep on a second engine - the
-// same fixture, prices and workload, routed by the "baseline" scheme.
+// savings-vs-baseline (per-step dollars through RollingEstimators).
+// Savings come from a shadow baseline session stepped in lockstep on a
+// second engine - the same fixture, prices and workload, routed by the
+// "baseline" scheme. The router's plan-rebuild counter is read only
+// when asked (plan_rebuilds()), so a step allocates nothing for it.
 
 #include <cstdint>
 #include <memory>
@@ -52,7 +54,7 @@ void check_demand_step(std::span<const double> demand, std::size_t state_count,
                        std::int64_t step);
 
 /// A Workload fed one step at a time: the live loop push()es demand as
-/// it arrives, the replay path push()es every recorded step up front.
+/// it arrives (replay too, since it re-feeds a LiveEngine).
 /// demand() serves only pushed steps (throws std::out_of_range beyond
 /// the pushed prefix - the engine never reads ahead of the stream).
 class PushWorkload final : public core::Workload {
@@ -103,10 +105,6 @@ struct LiveTelemetry {
   RollingEstimators bill_usd_per_step;
   /// Present only with LiveConfig::shadow_baseline.
   RollingEstimators savings_usd_per_step;
-  /// The live router's "plan_rebuilds" counter, read generically from
-  /// Router::counters() - any scheme that publishes one is covered (0
-  /// for routers without a plan to rebuild).
-  std::int64_t plan_rebuilds = 0;
 };
 
 class LiveEngine {
@@ -161,6 +159,11 @@ class LiveEngine {
   [[nodiscard]] std::size_t state_count() const noexcept;
   [[nodiscard]] std::size_t cluster_count() const noexcept;
   [[nodiscard]] const LiveTelemetry& telemetry() const noexcept;
+  /// The live router's "plan_rebuilds" counter, read generically from
+  /// Router::counters() on each call - any scheme that publishes one is
+  /// covered (0 for routers without a plan to rebuild). The read
+  /// allocates, so advance() never makes it.
+  [[nodiscard]] std::int64_t plan_rebuilds() const;
   /// The session's description, as a log of it carries.
   [[nodiscard]] const SessionMeta& meta() const noexcept { return meta_; }
 

@@ -3,12 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <utility>
+#include <stdexcept>
 
-#include "market/hub.h"
-#include "market/tick_assembler.h"
 #include "service/live_engine.h"
-#include "storage/storage_controller.h"
 
 namespace cebis::service {
 
@@ -22,66 +19,49 @@ core::RunResult replay(const core::Fixture& fixture,
         std::to_string(meta.seed));
   }
 
-  core::RunPlan plan = core::plan_run(fixture, scenario_of(meta), meta.period);
-  if (plan.clusters.size() != meta.n_clusters) {
+  // The session as it was configured, minus the runtime knobs no log
+  // carries: no shadow baseline, no taps, no log.
+  LiveConfig config;
+  static_cast<SessionSpec&>(config) = meta;
+  config.shadow_baseline = false;
+  LiveEngine live(fixture, config);
+  if (live.cluster_count() != meta.n_clusters) {
     throw std::invalid_argument(
-        "replay: fixture resolves " + std::to_string(plan.clusters.size()) +
+        "replay: fixture resolves " + std::to_string(live.cluster_count()) +
         " clusters, the session recorded " + std::to_string(meta.n_clusters));
   }
-  if (fixture.trace.state_count() != meta.n_states) {
+  if (live.state_count() != meta.n_states) {
     throw std::invalid_argument(
-        "replay: fixture has " + std::to_string(fixture.trace.state_count()) +
+        "replay: fixture has " + std::to_string(live.state_count()) +
         " states, the session recorded " + std::to_string(meta.n_states));
   }
-
-  // Rebuild the price set from the recorded ticks - the same assembly
-  // the live session performed, over the same priced window.
-  std::vector<HubId> tracked;
-  tracked.reserve(plan.clusters.size());
-  for (const core::Cluster& c : plan.clusters) tracked.push_back(c.hub);
-  market::TickAssembler assembler(plan.priced, meta.samples_per_hour,
-                                  market::HubRegistry::instance().size(),
-                                  std::move(tracked));
-  for (const PriceTickRecord& tick : session.ticks) {
-    assembler.add(tick.hub, tick.interval, tick.price);
-  }
-
-  // Rebuild the workload from the recorded demand steps.
-  PushWorkload workload(meta.period, meta.steps_per_hour, meta.n_states);
-  if (static_cast<std::int64_t>(session.steps.size()) != workload.steps()) {
+  if (static_cast<std::int64_t>(session.steps.size()) != live.steps_total()) {
     throw std::invalid_argument(
         "replay: session recorded " + std::to_string(session.steps.size()) +
         " workload steps, the period needs " +
-        std::to_string(workload.steps()));
+        std::to_string(live.steps_total()));
+  }
+
+  for (const PriceTickRecord& tick : session.ticks) {
+    live.on_price_tick(tick.hub, tick.interval, tick.price);
   }
   for (std::size_t i = 0; i < session.steps.size(); ++i) {
     const WorkloadStepRecord& rec = session.steps[i];
     if (rec.step != static_cast<std::int64_t>(i)) {
       throw std::invalid_argument("replay: workload step records out of order");
     }
-    workload.push(rec.demand);
+    // A log whose ticks stop short would leave the step's prices as
+    // unpriced placeholders: refuse it rather than replay NaN.
+    if (live.needed_end() > live.sealed_end()) {
+      throw std::invalid_argument(
+          "replay: step " + std::to_string(i) +
+          " needs prices sealed through interval " +
+          std::to_string(live.needed_end()) + ", the recorded ticks seal " +
+          std::to_string(live.sealed_end()));
+    }
+    live.advance(rec.demand);
   }
-
-  const core::SimulationEngine engine(std::move(plan.clusters), assembler.set(),
-                                      fixture.distances, plan.engine);
-
-  // Observer parity with the live session: recorder then controller,
-  // the order the LiveEngine attached them in (its log observer wrote
-  // no RunResult state, so it needs no replay counterpart).
-  std::unique_ptr<core::HourlyEnergyRecorder> recorder;
-  std::unique_ptr<storage::StorageController> controller;
-  std::vector<core::StepObserver*> observers;
-  if (meta.record_hourly_energy) {
-    recorder =
-        std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
-    observers.push_back(recorder.get());
-  }
-  if (meta.storage.has_value()) {
-    controller = std::make_unique<storage::StorageController>(*meta.storage);
-    observers.push_back(controller.get());
-  }
-
-  return engine.run(workload, *plan.router, observers);
+  return live.finish();
 }
 
 core::RunResult replay_file(const core::Fixture& fixture,

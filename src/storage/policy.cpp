@@ -176,13 +176,6 @@ bool PolicyRegistry::contains(std::string_view name) const noexcept {
   return entries_.find(name) != entries_.end();
 }
 
-std::vector<std::string> PolicyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, factory] : entries_) out.push_back(name);
-  return out;
-}
-
 std::unique_ptr<ChargePolicy> PolicyRegistry::make(
     std::string_view name, const PolicyConfig& config) const {
   const auto it = entries_.find(name);

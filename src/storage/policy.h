@@ -30,7 +30,6 @@
 #include <string>
 #include <string_view>
 #include <variant>
-#include <vector>
 
 #include "base/simtime.h"
 #include "base/units.h"
@@ -133,7 +132,6 @@ class PolicyRegistry {
   void add(std::string name, Factory factory);
 
   [[nodiscard]] bool contains(std::string_view name) const noexcept;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Builds the named policy. Throws std::invalid_argument for unknown
   /// names or a config variant that does not match the policy.

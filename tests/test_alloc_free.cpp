@@ -5,13 +5,13 @@
 // - which may size scratch space such as a router's plan - and pins
 // every later step at zero allocations. The live half runs a logged
 // LiveEngine session the way the server drives one and pins its price
-// ticks at zero and its steps at the one block named below, and the
-// subscriber hub's publish at zero when nobody subscribes. The read
-// half pins the one frame reader: zero allocations per price-tick frame
-// off a socket and out of a log file, and no large block for a length
-// prefix that lies. The generators' workers allocate nothing at all. A
-// count does not drift with the host's speed, so it gates hard where a
-// timing cannot.
+// ticks and its steps after the first at zero, does the same for the
+// steps of that session's replay, and pins the subscriber hub's publish
+// at zero when nobody subscribes. The read half pins the one frame
+// reader: zero allocations per price-tick frame off a socket and out of
+// a log file, and no large block for a length prefix that lies. The
+// generators' workers allocate nothing at all. A count does not drift
+// with the host's speed, so it gates hard where a timing cannot.
 //
 // The replacement forwards to malloc/free, so the sanitizers still see
 // every block; every new/delete form that could otherwise pair a
@@ -31,11 +31,15 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/router_registry.h"
+#include "core/routing.h"
 #include "core/simulation.h"
 #include "core/workload.h"
 #include "market/market_simulator.h"
@@ -46,6 +50,7 @@
 #include "service/codec.h"
 #include "service/event_log.h"
 #include "service/live_engine.h"
+#include "service/replay.h"
 #include "test_support.h"
 #include "traffic/trace_generator.h"
 
@@ -250,30 +255,30 @@ std::vector<service::EventRecord> live_feed(const Fixture& fx,
   return net::interleave_feed(meta, ticks, steps);
 }
 
-TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
-  const Fixture fx = Fixture::make(test::kTestSeed);
-  const Period trace = fx.trace.period();
-  const service::LiveConfig config =
-      live_config(Period{trace.begin, trace.begin + 48});
-  const std::vector<service::EventRecord> feed =
-      live_feed(fx, config, service::LiveEngine(fx, config).meta());
-
-  test::TempFile file("alloc_free_live.eventlog");
-  service::EventLogWriter log(file.path());
-  service::LiveEngine live(fx, config, &log);
-  std::deque<const std::vector<double>*> pending;
+/// What feeding a session cost, past its first step (which sizes the
+/// log's frame buffer and the routers' and observers' scratch).
+struct FeedCounts {
   std::int64_t ticks = 0;
   std::int64_t tick_allocations = 0;
   std::int64_t steps = 0;
   std::int64_t step_allocations = 0;
-  std::int64_t other_steps = 0;
+  std::int64_t allocating_steps = 0;  ///< steps that made any allocation
+};
+
+/// Feeds `feed` to `live` the way the server does - each tick as it
+/// arrives, each buffered step as soon as its prices seal - counting the
+/// allocations each call makes.
+FeedCounts drive_counted(service::LiveEngine& live,
+                         const std::vector<service::EventRecord>& feed) {
+  FeedCounts counts;
+  std::deque<const std::vector<double>*> pending;
   for (const service::EventRecord& record : feed) {
     if (const auto* tick = std::get_if<service::PriceTickRecord>(&record)) {
       const std::int64_t before = allocations();
       live.on_price_tick(tick->hub, tick->interval, tick->price);
       if (live.steps_done() > 0) {
-        tick_allocations += allocations() - before;
-        ++ticks;
+        counts.tick_allocations += allocations() - before;
+        ++counts.ticks;
       }
     } else {
       pending.push_back(&std::get<service::WorkloadStepRecord>(record).demand);
@@ -284,29 +289,112 @@ TEST(AllocFreeLive, LoggedSessionTicksAllocateNothingStepsOne) {
       const std::int64_t before = allocations();
       live.advance(*pending.front());
       pending.pop_front();
-      if (first) continue;  // sizes the log's frame buffer, among others
+      if (first) continue;
       const std::int64_t made = allocations() - before;
-      step_allocations += made;
-      ++steps;
-      if (made != 1) ++other_steps;
+      counts.step_allocations += made;
+      ++counts.steps;
+      if (made != 0) ++counts.allocating_steps;
     }
   }
+  return counts;
+}
+
+TEST(AllocFreeLive, LoggedSessionTicksAndStepsAllocateNothing) {
+  const Fixture fx = Fixture::make(test::kTestSeed);
+  const Period trace = fx.trace.period();
+  const service::LiveConfig config =
+      live_config(Period{trace.begin, trace.begin + 48});
+  const std::vector<service::EventRecord> feed =
+      live_feed(fx, config, service::LiveEngine(fx, config).meta());
+
+  test::TempFile file("alloc_free_live.eventlog");
+  service::EventLogWriter log(file.path());
+  service::LiveEngine live(fx, config, &log);
+  const FeedCounts counts = drive_counted(live, feed);
   ASSERT_TRUE(live.done());
-  EXPECT_EQ(steps, 575);
-  EXPECT_GT(ticks, 5000);
+  EXPECT_EQ(counts.steps, 575);
+  EXPECT_GT(counts.ticks, 5000);
 
   // A tick is assembled and logged through reused buffers.
-  EXPECT_EQ(tick_allocations, 0) << "over " << ticks << " ticks";
+  EXPECT_EQ(counts.tick_allocations, 0) << "over " << counts.ticks << " ticks";
 
-  // Every step makes exactly one allocation: the std::vector that
-  // Router::counters() returns, read for the plan-rebuild telemetry.
-  // Logging the step, its decision and its battery action reuses member
-  // records and the writer's frame buffer, and each battery's running
-  // order statistic reserved the month's intervals when the month
-  // began. A new per-step allocation anywhere on the path raises every
-  // step.
-  EXPECT_EQ(other_steps, 0) << "steps whose count is not 1";
-  EXPECT_EQ(step_allocations, steps);
+  // A step is routed, accounted and logged - its demand, decision and
+  // battery action - through member records and the writer's frame
+  // buffer, and each battery's running order statistic reserved the
+  // month's intervals when the month began. The router's plan-rebuild
+  // counter is read only on request (LiveEngine::plan_rebuilds), never
+  // per step. A new per-step allocation anywhere on the path raises
+  // every step.
+  EXPECT_EQ(counts.allocating_steps, 0) << "steps that allocated";
+  EXPECT_EQ(counts.step_allocations, 0);
+}
+
+/// The allocation count as each route() call began, one per step, for
+/// runs a test does not drive itself (StepMarkRouter). Reserved up
+/// front; a mark past the capacity is dropped rather than grown.
+std::vector<std::int64_t> g_step_marks;
+
+/// The price-aware router, counters included, marking each step in
+/// g_step_marks.
+class StepMarkRouter final : public Router {
+ public:
+  explicit StepMarkRouter(std::unique_ptr<Router> inner)
+      : inner_(std::move(inner)) {}
+  void route(const RoutingContext& ctx, Allocation& out) override {
+    if (g_step_marks.size() < g_step_marks.capacity()) {
+      g_step_marks.push_back(allocations());
+    }
+    inner_->route(ctx, out);
+  }
+  [[nodiscard]] std::string_view name() const override { return "step-mark"; }
+  [[nodiscard]] std::vector<RouterCounter> counters() const override {
+    return inner_->counters();
+  }
+
+ private:
+  std::unique_ptr<Router> inner_;
+};
+
+TEST(AllocFreeLive, ReplayStepsAfterTheFirstAllocateNothing) {
+  RouterRegistry& routers = RouterRegistry::instance();
+  if (!routers.contains("step-mark")) {
+    const auto make = [](const Fixture& f, const ScenarioSpec& spec) {
+      return std::make_unique<StepMarkRouter>(
+          RouterRegistry::instance().at("price-aware").make(f, spec));
+    };
+    routers.add("step-mark", RouterEntry{.make = make});
+  }
+  const Fixture fx = Fixture::make(test::kTestSeed);
+  const Period trace = fx.trace.period();
+  service::LiveConfig config =
+      live_config(Period{trace.begin, trace.begin + 48});
+  config.router = "step-mark";
+  const std::vector<service::EventRecord> feed =
+      live_feed(fx, config, service::LiveEngine(fx, config).meta());
+
+  test::TempFile file("alloc_free_replay.eventlog");
+  {
+    service::EventLogWriter log(file.path());
+    service::LiveEngine live(fx, config, &log);
+    (void)drive_counted(live, feed);
+    ASSERT_TRUE(live.done());
+    log.close();
+  }
+  const service::RecordedSession session = service::read_session(file.path());
+  g_step_marks.clear();
+  g_step_marks.reserve(session.steps.size());
+  (void)service::replay(fx, session);
+  ASSERT_EQ(g_step_marks.size(), 576u);
+
+  // Marks k and k + 1 bracket step k's accounting and observers, the
+  // replay loop's checks and step k + 1 up to its routing. The first
+  // step sizes the scratch; every later one allocates nothing.
+  std::int64_t allocating_steps = 0;
+  for (std::size_t k = 1; k + 1 < g_step_marks.size(); ++k) {
+    if (g_step_marks[k + 1] != g_step_marks[k]) ++allocating_steps;
+  }
+  const std::int64_t made = g_step_marks.back() - g_step_marks[1];
+  EXPECT_EQ(allocating_steps, 0) << made << " allocations in all";
 }
 
 TEST(AllocFreeLive, HubPublishWithoutSubscribersAllocatesNothing) {

@@ -8,6 +8,7 @@
 
 #include "core/experiment.h"
 #include "market/lazy_price_history.h"
+#include "market/market_simulator.h"
 #include "test_support.h"
 
 namespace cebis::core {
@@ -86,15 +87,37 @@ TEST(LazyPriceHistory, GrowsMonotonicallyWithStableAddresses) {
   EXPECT_EQ(wide.period, study);
 }
 
-TEST(LazyPriceHistory, PinReplacesTheHistory) {
-  market::LazyPriceHistory lazy(test::kTestSeed);
-  market::PriceSet pinned;
-  pinned.period = Period{0, 10};
-  lazy.pin(std::move(pinned));
-  // Even a wider request returns the pinned set (the ablation contract:
-  // the caller took over price generation entirely).
-  EXPECT_EQ(&lazy.cover(Period{0, 5000}), &lazy.cover(Period{0, 1}));
-  EXPECT_EQ(lazy.materialized_hours(), 10);
+TEST(LazyPriceHistory, ServesTheMarketItsParametersDescribe) {
+  // An ablation swaps in a different market by building the history
+  // over other parameters: every window it serves must be exactly what
+  // a MarketSimulator over those parameters generates.
+  market::PriceModelParams calm = market::PriceModelParams::defaults();
+  calm.spikes.onset_per_hour = 0.0;
+  calm.spikes.rto_event_per_hour = 0.0;
+  calm.spikes.scarcity_per_hour = 0.0;
+  const market::LazyPriceHistory lazy(test::kTestSeed, calm);
+  const Period window{trace_period().begin - 48, trace_period().begin + 96};
+  const market::PriceSet& got = lazy.cover(window);
+  const market::MarketSimulator calm_sim(market::HubRegistry::instance(), calm,
+                                         test::kTestSeed);
+  const market::PriceSet want = calm_sim.generate(window);
+  const market::PriceSet spiky =
+      market::MarketSimulator(test::kTestSeed).generate(window);
+  ASSERT_EQ(got.period, want.period);
+  ASSERT_EQ(got.rt.size(), want.rt.size());
+  bool differs_from_default = false;
+  for (std::size_t hub = 0; hub < want.rt.size(); ++hub) {
+    ASSERT_EQ(got.rt[hub].size(), want.rt[hub].size()) << hub;
+    for (std::size_t i = 0; i < want.rt[hub].size(); ++i) {
+      ASSERT_EQ(got.rt[hub].values()[i], want.rt[hub].values()[i]) << hub;
+      ASSERT_EQ(got.da[hub].values()[i], want.da[hub].values()[i]) << hub;
+      if (got.rt[hub].values()[i] != spiky.rt[hub].values()[i]) {
+        differs_from_default = true;
+      }
+    }
+  }
+  // The parameters reached the generator: this is not the default market.
+  EXPECT_TRUE(differs_from_default);
 }
 
 TEST(LazyFixture, TraceScenarioOnlyMaterializesTheTraceWindow) {
@@ -146,8 +169,8 @@ TEST(LazyFixture, CheapestClusterDoesNotRetainTheFullHistory) {
   EXPECT_EQ(fixture.price_history->materialized_hours(), 0);
   EXPECT_EQ(fixture.price_history->generations(), 0u);
 
-  // Memoized at both layers: repeated calls re-read neither the study
-  // period (LazyPriceHistory::study_rt_means) nor the means (Fixture).
+  // Memoized: repeated calls re-read the memoized means, never the
+  // study period (LazyPriceHistory::study_rt_means).
   EXPECT_EQ(fixture.cheapest_cluster(), cheapest);
   EXPECT_EQ(fixture.cheapest_cluster(), cheapest);
   EXPECT_EQ(fixture.price_history->study_mean_passes(), 1u);

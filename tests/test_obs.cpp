@@ -550,9 +550,9 @@ core::RunResult drive_live(const core::Fixture& fixture,
 }
 
 TEST_F(ObsLiveTest, JointRouterReportsPlanRebuildsGenerically) {
-  // Satellite: LiveTelemetry::plan_rebuilds reads Router::counters()
-  // instead of downcasting to PriceAwareRouter - the joint-objective
-  // scheme must report a live nonzero count through the generic path.
+  // LiveEngine::plan_rebuilds reads Router::counters() instead of
+  // downcasting to PriceAwareRouter - the joint-objective scheme must
+  // report a live nonzero count through the generic path.
   const Period trace = fixture_->trace.period();
   service::LiveConfig config;
   config.router = "joint-objective";
@@ -563,7 +563,7 @@ TEST_F(ObsLiveTest, JointRouterReportsPlanRebuildsGenerically) {
 
   service::LiveEngine live(*fixture_, config);
   (void)drive_live(*fixture_, live, config);
-  EXPECT_GT(live.telemetry().plan_rebuilds, 0);
+  EXPECT_GT(live.plan_rebuilds(), 0);
 }
 
 TEST_F(ObsLiveTest, LiveTapsCountTicksAndPublishSealHeadroom) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -288,6 +289,36 @@ TEST_F(ReplayEqualsLive, ReplayValidatesTheFixture) {
   RecordedSession session = read_session(log_file.path());
   session.meta.seed = 777;  // not the fixture's seed
   EXPECT_THROW((void)replay(*fixture_, session), std::invalid_argument);
+}
+
+TEST_F(ReplayEqualsLive, ReplayRejectsALogWhoseTicksStopShort) {
+  // A log cut short of its last settlements would leave the final steps'
+  // prices unpriced placeholders (NaN): replay refuses it, naming the
+  // step and both intervals, instead of returning a NaN bill.
+  test::TempFile log_file("replay_short_ticks.eventlog");
+  LiveConfig config;
+  config.period = window_of(*fixture_, 2);
+  config.shadow_baseline = false;
+  {
+    EventLogWriter log(log_file.path());
+    (void)drive_live(*fixture_, config, &log);
+    log.close();
+  }
+  RecordedSession session = read_session(log_file.path());
+  EXPECT_TRUE(std::isfinite(replay(*fixture_, session).total_cost.value()));
+  ASSERT_GT(session.ticks.size(), 20u);
+  session.ticks.resize(session.ticks.size() - 20);
+  try {
+    (void)replay(*fixture_, session);
+    ADD_FAILURE() << "a log whose ticks stop short replayed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("replay: step "), std::string::npos) << what;
+    EXPECT_NE(what.find("needs prices sealed through interval"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("the recorded ticks seal"), std::string::npos) << what;
+  }
 }
 
 TEST_F(ReplayEqualsLive, LiveAndReplayRejectIntervalsNotDividingTheHour) {

@@ -41,7 +41,6 @@ TEST_F(ScenarioApiTest, RegistryListsTheFiveBuiltins) {
     EXPECT_TRUE(reg.contains(name)) << name;
   }
   EXPECT_FALSE(reg.contains("no-such-router"));
-  EXPECT_GE(reg.names().size(), 5u);
 }
 
 TEST_F(ScenarioApiTest, RegistryRoundTripConstructsEveryRouter) {

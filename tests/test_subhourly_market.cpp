@@ -51,22 +51,21 @@ TEST(PriceSeries, CarriesNativeInterval) {
 TEST(SubHourlyMarket, GenerateAtTheStudyEpochIsTheSubHourlyView) {
   // generate() warms each hub's intra-hour process up from the study
   // epoch; with a window starting there, no draw is skipped and the
-  // series must be exactly sub_hourly_view of the same hourly prices -
-  // for hubs that synthesize intra-hour structure and for hubs kept
-  // flat (4 = 15-minute, 12 = five-minute, 20 = finer than any hub's
-  // settlement).
+  // series must be exactly sub_hourly_series of the same hourly prices
+  // (4 = 15-minute, 12 = five-minute; every hourly hub settles at 5
+  // minutes, so both synthesize structure).
   const MarketSimulator sim(test::kTestSeed);
   const Period w{study_period().begin, study_period().begin + 48};
   const PriceSet hourly = sim.generate(w);
-  for (const int sph : {4, 12, 20}) {
+  for (const int sph : {4, 12}) {
     const PriceSet fine = sim.generate(w, sph);
     for (const HubId hub : HubRegistry::instance().hourly_hubs()) {
-      const PriceSeries& base = hourly.rt[hub.index()];
-      const PriceSeries view = sim.sub_hourly_view(hub, base, sph);
+      const std::vector<double> series =
+          sim.sub_hourly_series(hub, hourly.rt[hub.index()], sph);
       const std::span<const double> got = fine.rt[hub.index()].values();
-      ASSERT_EQ(got.size(), view.size()) << sph << " " << hub.index();
+      ASSERT_EQ(got.size(), series.size()) << sph << " " << hub.index();
       for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], view.values()[i]) << sph << " " << hub.index();
+        ASSERT_EQ(got[i], series[i]) << sph << " " << hub.index();
       }
     }
   }
@@ -132,22 +131,23 @@ TEST(SubHourlyMarket, SubHourlyViewHonorsTheHubsNativeSettlement) {
   // (rt_interval_minutes, 5 min for every RTO hub) must yield flat
   // hours - no synthesized structure the real market never published.
   const MarketSimulator sim(test::kTestSeed);
-  const PriceSet set = sim.generate(short_window());
+  const Period w = short_window();
+  const PriceSet set = sim.generate(w);
   const HubId nyc = HubRegistry::instance().by_code("NYC");
   // 20 samples/hour = 3-minute intervals, finer than 5-minute dispatch.
-  const PriceSeries flat = sim.sub_hourly_view(nyc, set.rt[nyc.index()], 20);
-  ASSERT_EQ(flat.samples_per_hour(), 20);
-  for (HourIndex h = short_window().begin; h < short_window().end; ++h) {
+  const PriceSet flat = sim.generate(w, 20);
+  ASSERT_EQ(flat.rt[nyc.index()].samples_per_hour(), 20);
+  for (HourIndex h = w.begin; h < w.end; ++h) {
     for (int i = 0; i < 20; ++i) {
-      ASSERT_EQ(flat.at(h, i), set.rt[nyc.index()].at(h)) << h << ":" << i;
+      ASSERT_EQ(flat.rt[nyc.index()].at(h, i), set.rt[nyc.index()].at(h))
+          << h << ":" << i;
     }
   }
   // At 15 minutes (coarser than dispatch) structure is synthesized.
-  const PriceSeries fine = sim.sub_hourly_view(nyc, set.rt[nyc.index()], 4);
+  const PriceSet fine = sim.generate(w, 4);
   bool varies = false;
-  for (HourIndex h = short_window().begin; h < short_window().end && !varies;
-       ++h) {
-    varies = fine.at(h, 0) != fine.at(h, 1);
+  for (HourIndex h = w.begin; h < w.end && !varies; ++h) {
+    varies = fine.rt[nyc.index()].at(h, 0) != fine.rt[nyc.index()].at(h, 1);
   }
   EXPECT_TRUE(varies);
 }
@@ -180,50 +180,6 @@ TEST(SubHourlyMarket, LazyHistoryCachesPerResolution) {
     }
   }
   EXPECT_THROW((void)history.cover(w, 13), std::invalid_argument);
-}
-
-TEST(SubHourlyMarket, PinnedSubHourlyHistoryStillServesHourlyRequests) {
-  // Pinning a 5-minute market must not break hourly consumers
-  // (Fixture::prices() / full() hard-code samples_per_hour = 1): the
-  // hourly view settles each hour to its mean, is cached, and other
-  // resolutions derive from it.
-  LazyPriceHistory history(test::kTestSeed);
-  const Period w = short_window();
-  history.pin(MarketSimulator(test::kTestSeed + 2).generate(w, 12));
-  const PriceSet& pinned = history.cover(w, 12);
-  ASSERT_EQ(pinned.samples_per_hour, 12);
-
-  const PriceSet& hourly = history.full();
-  EXPECT_EQ(hourly.samples_per_hour, 1);
-  EXPECT_EQ(&history.cover(w), &hourly);  // cached
-  const HubId nyc = HubRegistry::instance().by_code("NYC");
-  for (HourIndex h = w.begin; h < w.end; ++h) {
-    ASSERT_NEAR(hourly.rt_at(nyc, h).value(), pinned.rt_at(nyc, h).value(),
-                test::kNumericTol);
-  }
-  // A third resolution derives too (from the hourly view).
-  const PriceSet& quarter = history.cover(w, 4);
-  EXPECT_EQ(quarter.samples_per_hour, 4);
-  EXPECT_EQ(&history.cover(w, 4), &quarter);
-}
-
-TEST(SubHourlyMarket, PinnedHourlyHistoryDerivesSubHourlyViews) {
-  LazyPriceHistory history(test::kTestSeed);
-  const Period w = short_window();
-  PriceSet pinned = MarketSimulator(test::kTestSeed + 1).generate(w);
-  history.pin(std::move(pinned));
-  const PriceSet& fine = history.cover(w, 12);
-  EXPECT_EQ(fine.samples_per_hour, 12);
-  EXPECT_EQ(&history.cover(w, 12), &fine);  // cached
-  const HubId nyc = HubRegistry::instance().by_code("NYC");
-  // The derived view wraps the pinned hourly settlement.
-  double err = 0.0;
-  for (HourIndex h = w.begin; h < w.end; ++h) {
-    err += std::abs(fine.rt_at(nyc, h).value() -
-                    history.cover(w).rt_at(nyc, h).value()) /
-           std::max(1.0, history.cover(w).rt_at(nyc, h).value());
-  }
-  EXPECT_LT(err / static_cast<double>(w.hours()), 0.15);
 }
 
 }  // namespace
