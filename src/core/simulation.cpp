@@ -19,14 +19,36 @@ namespace {
 /// (5 km bins to 6000 km): exact mean, percentile to bin resolution.
 class DistanceStats {
  public:
-  DistanceStats() : bins_(1200, 0.0) {}
+  static constexpr std::size_t kBins = 1200;
 
-  void add(double km, double weight) {
-    sum_ += km * weight;
-    total_ += weight;
-    const auto b = std::min(bins_.size() - 1,
-                            static_cast<std::size_t>(std::max(0.0, km) / 5.0));
-    bins_[b] += weight;
+  /// The bin a distance falls in; the last bin takes everything past it.
+  [[nodiscard]] static std::uint32_t bin_of(double km) {
+    return static_cast<std::uint32_t>(
+        std::min(kBins - 1, static_cast<std::size_t>(std::max(0.0, km) / 5.0)));
+  }
+
+  DistanceStats() : bins_(kBins, 0.0) {}
+
+  /// Adds one step's nonzero cells, each weighted by its hits times
+  /// `dt_hours`. `km` and `bin` are the states x clusters distance and
+  /// bin tables (row stride `clusters`). The sums stay in locals for the
+  /// whole step: as members they would be reloaded after every store to
+  /// a bin, which the compiler must assume may alias them.
+  void add_step(const Allocation& alloc, const double* km,
+                const std::uint32_t* bin, std::size_t clusters,
+                double dt_hours) {
+    double sum = sum_;
+    double total = total_;
+    double* const bins = bins_.data();
+    for (const Allocation::Entry& e : alloc.nonzero()) {
+      const std::size_t cell = e.state * clusters + e.cluster;
+      const double weight = alloc.hits(e) * dt_hours;
+      sum += km[cell] * weight;
+      total += weight;
+      bins[bin[cell]] += weight;
+    }
+    sum_ = sum;
+    total_ = total;
   }
 
   [[nodiscard]] double mean() const { return total_ > 0.0 ? sum_ / total_ : 0.0; }
@@ -74,10 +96,13 @@ SimulationEngine::SimulationEngine(std::vector<Cluster> clusters,
     throw std::invalid_argument("SimulationEngine: distance model too small");
   }
   distance_km_.resize(distances_.state_count() * clusters_.size());
+  distance_bin_.resize(distance_km_.size());
   for (std::size_t s = 0; s < distances_.state_count(); ++s) {
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
-      distance_km_[s * clusters_.size() + c] =
+      const double km =
           distances_.distance(StateId{static_cast<std::int32_t>(s)}, c).value();
+      distance_km_[s * clusters_.size() + c] = km;
+      distance_bin_[s * clusters_.size() + c] = DistanceStats::bin_of(km);
     }
   }
 }
@@ -396,12 +421,16 @@ void SimulationEngine::Session::State::step_once() {
     step_energy[c] = e;
     step_cost[c] = (UsdPerMwh{bill_price[c]} * MegawattHours{e}).value();
   }
+  double total_energy = result.total_energy.value();
+  double total_cost = result.total_cost.value();
   for (std::size_t c = 0; c < n_clusters; ++c) {
     result.cluster_energy[c] += step_energy[c];
     result.cluster_cost[c] += step_cost[c];
-    result.total_energy += MegawattHours{step_energy[c]};
-    result.total_cost += Usd{step_cost[c]};
+    total_energy += step_energy[c];
+    total_cost += step_cost[c];
   }
+  result.total_energy = MegawattHours{total_energy};
+  result.total_cost = Usd{total_cost};
   if (overflowed) ++result.overflow_steps;
   if (config.enforce_p95) budgets.record_all(alloc.cluster_totals());
 
@@ -420,17 +449,17 @@ void SimulationEngine::Session::State::step_once() {
 
   // Distance metrics over the nonzero assignments only (an interval
   // touches ~1-2 clusters per state, not the full matrix).
-  for (const Allocation::Entry& e : alloc.nonzero()) {
-    dist_stats.add(eng.distance_km_[e.state * n_clusters + e.cluster],
-                   alloc.hits(e) * dt.value());
-  }
+  const double dt_value = dt.value();
+  dist_stats.add_step(alloc, eng.distance_km_.data(), eng.distance_bin_.data(),
+                      n_clusters, dt_value);
   // Branch-free hit-hours scan (the max() folds the old `> 0` guard:
   // zero or negative demand contributes exact +0.0), hoisted into its
-  // own vectorizable pass over the state axis.
-  const double dt_value = dt.value();
+  // own pass over the state axis.
+  double hit_hours = result.hit_hours;
   for (std::size_t s = 0; s < n_states; ++s) {
-    result.hit_hours += std::max(demand[s], 0.0) * dt_value;
+    hit_hours += std::max(demand[s], 0.0) * dt_value;
   }
+  result.hit_hours = hit_hours;
 
   ++step;
 }

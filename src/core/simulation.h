@@ -24,9 +24,16 @@
 // scratch vectors once per run and only the values are rewritten;
 // prices refresh once per price interval and capacities once per hour,
 // so routers replay their plans across the steps in between; the distance
-// metrics walk only the allocation's nonzero entries; and the realized
-// 95th percentiles stream through an exact top-K sketch instead of
-// retaining the full per-step load history.
+// metrics walk only the allocation's nonzero entries, reading each
+// cell's histogram bin from a table built beside the distance table;
+// a step's running sums (fleet energy and cost, the distance sums,
+// hit-hours) are carried in locals across its loops and stored once,
+// since a store into a result or bin array may otherwise alias them;
+// and the realized 95th percentiles stream through an exact top-K
+// sketch instead of retaining the full per-step load history, where a
+// sample at or below the sketch's minimum costs two comparisons. Each
+// of these adds the same values in the same order as a plain loop, so
+// every output bit is unchanged.
 
 #include <cstdint>
 #include <functional>
@@ -269,8 +276,10 @@ class SimulationEngine {
   // Dense copy of the model's states x clusters distances (stride =
   // cluster count), built once: run() is called many times per engine
   // in sweeps, and the per-entry metric lookup must not pay the
-  // model's checked interface.
+  // model's checked interface. distance_bin_ holds each cell's
+  // distance-histogram bin, so no step divides to find one.
   std::vector<double> distance_km_;
+  std::vector<std::uint32_t> distance_bin_;
 };
 
 }  // namespace cebis::core

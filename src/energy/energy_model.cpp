@@ -1,8 +1,6 @@
 #include "energy/energy_model.h"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 
 namespace cebis::energy {
@@ -22,29 +20,12 @@ ClusterEnergyModel::ClusterEnergyModel(EnergyModelParams params) : params_(param
   }
 }
 
-Watts ClusterEnergyModel::power(double utilization, int servers) const {
-  if (servers < 0) throw std::invalid_argument("ClusterEnergyModel::power: servers < 0");
-  const double u = std::clamp(utilization, 0.0, 1.0);
-  const double n = static_cast<double>(servers);
-  const double p_peak = params_.peak_watts;
-  const double p_idle = params_.idle_watts();
-  const double variable =
-      n * (p_peak - p_idle) * (2.0 * u - std::pow(u, params_.exponent_r));
-  if (params_.cooling_tracks_load) {
-    // Variable-cooling variant: overhead proportional to the IT draw.
-    const double it_power = n * p_idle + variable;
-    return Watts{params_.pue * it_power + n * params_.epsilon_watts};
-  }
-  const double fixed = n * (p_idle + (params_.pue - 1.0) * p_peak);
-  return Watts{fixed + variable + n * params_.epsilon_watts};
+void ClusterEnergyModel::negative_servers() {
+  throw std::invalid_argument("ClusterEnergyModel::power: servers < 0");
 }
 
-MegawattHours ClusterEnergyModel::energy(double utilization, int servers,
-                                         Hours duration) const {
-  if (duration.value() < 0.0) {
-    throw std::invalid_argument("ClusterEnergyModel::energy: negative duration");
-  }
-  return power(utilization, servers) * duration;
+void ClusterEnergyModel::negative_duration() {
+  throw std::invalid_argument("ClusterEnergyModel::energy: negative duration");
 }
 
 double ClusterEnergyModel::inelasticity() const {

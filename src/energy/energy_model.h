@@ -13,6 +13,8 @@
 // does. The paper stresses that only the ratio P_cluster(0)/P_cluster(1)
 // ("energy elasticity") matters for relative savings.
 
+#include <algorithm>
+#include <cmath>
 #include <span>
 #include <string_view>
 
@@ -48,12 +50,31 @@ class ClusterEnergyModel {
 
   /// Power drawn by a cluster of `servers` machines at utilization u.
   /// u is clamped to [0, 1] (the paper's capacity constraints keep it
-  /// there; clamping guards against float drift).
-  [[nodiscard]] Watts power(double utilization, int servers) const;
+  /// there; clamping guards against float drift). Inline: the engine
+  /// calls it for every cluster on every step.
+  [[nodiscard]] Watts power(double utilization, int servers) const {
+    if (servers < 0) negative_servers();
+    const double u = std::clamp(utilization, 0.0, 1.0);
+    const double n = static_cast<double>(servers);
+    const double p_peak = params_.peak_watts;
+    const double p_idle = params_.idle_watts();
+    const double variable =
+        n * (p_peak - p_idle) * (2.0 * u - std::pow(u, params_.exponent_r));
+    if (params_.cooling_tracks_load) {
+      // Variable-cooling variant: overhead proportional to the IT draw.
+      const double it_power = n * p_idle + variable;
+      return Watts{params_.pue * it_power + n * params_.epsilon_watts};
+    }
+    const double fixed = n * (p_idle + (params_.pue - 1.0) * p_peak);
+    return Watts{fixed + variable + n * params_.epsilon_watts};
+  }
 
   /// Energy consumed over `duration` at constant utilization.
   [[nodiscard]] MegawattHours energy(double utilization, int servers,
-                                     Hours duration) const;
+                                     Hours duration) const {
+    if (duration.value() < 0.0) negative_duration();
+    return power(utilization, servers) * duration;
+  }
 
   /// P(0)/P(1): 1.0 means fully inelastic (idle == peak), 0 means ideal
   /// energy-proportional clusters.
@@ -63,6 +84,9 @@ class ClusterEnergyModel {
 
  private:
   EnergyModelParams params_;
+
+  [[noreturn]] static void negative_servers();
+  [[noreturn]] static void negative_duration();
 };
 
 /// A named (idle%, PUE) scenario from the paper's Fig 15 x-axis.

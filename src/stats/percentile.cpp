@@ -48,21 +48,20 @@ StreamingPercentile::StreamingPercentile(std::int64_t count, double p)
   heap_.reserve(keep_);
 }
 
-void StreamingPercentile::add(double x) {
-  if (added_ >= expected_) {
-    throw std::logic_error("StreamingPercentile::add: more samples than declared");
-  }
-  ++added_;
+void StreamingPercentile::insert(double x) {
   if (heap_.size() < keep_) {
     heap_.push_back(x);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<double>());
     return;
   }
-  if (x > heap_.front()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<double>());
-    heap_.back() = x;
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<double>());
-  }
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<double>());
+  heap_.back() = x;
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<double>());
+}
+
+void StreamingPercentile::too_many_samples() {
+  throw std::logic_error(
+      "StreamingPercentile::add: more samples than declared");
 }
 
 double StreamingPercentile::value() const {

@@ -44,7 +44,14 @@ class StreamingPercentile {
   /// `count` is the exact number of add() calls that will follow.
   StreamingPercentile(std::int64_t count, double p = 95.0);
 
-  void add(double x);
+  void add(double x) {
+    if (added_ >= expected_) too_many_samples();
+    ++added_;
+    // The common case once the heap is full: a sample at or below its
+    // minimum changes nothing.
+    if (heap_.size() == keep_ && !(x > heap_.front())) return;
+    insert(x);
+  }
 
   /// The percentile over all samples; requires all `count` samples to
   /// have been added (throws std::logic_error otherwise). Identical to
@@ -59,6 +66,10 @@ class StreamingPercentile {
   double rank_;             ///< R-7 rank (p/100 * (count-1))
   std::size_t keep_;        ///< heap capacity: count - floor(rank)
   std::vector<double> heap_;  ///< min-heap of the largest keep_ samples
+
+  /// Pushes x, or replaces the minimum with it once the heap is full.
+  void insert(double x);
+  [[noreturn]] static void too_many_samples();
 };
 
 }  // namespace cebis::stats

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
+#include <string>
+
 #include "core/price_aware_router.h"
 #include "geo/distance_model.h"
 #include "test_support.h"
@@ -183,6 +187,67 @@ TEST_F(PriceAwareRouterTest, ConstructorValidation) {
   PriceAwareConfig bad;
   bad.distance_threshold = Km{-1.0};
   EXPECT_THROW(PriceAwareRouter(*distances_, 3, bad), std::invalid_argument);
+}
+
+TEST_F(PriceAwareRouterTest, RefusesNonFiniteRoutingPrices) {
+  PriceAwareRouter router(*distances_, 3, PriceAwareConfig{});
+  Allocation out(3, 3);
+  router.route(context(), out);
+  ASSERT_EQ(router.plan_rebuilds(), 1);
+  const std::vector<double> good = price_;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // Twice: an infinity compares equal to itself, so a refusal that
+    // kept the bad prices as the plan's would replay on the second call.
+    for (int call = 0; call < 2; ++call) {
+      price_ = {60.0, bad, 20.0};
+      try {
+        router.route(context(), out);
+        ADD_FAILURE() << "routed on a price of " << bad;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("cluster 1"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+      }
+    }
+  }
+  // The refusals left the plan as it was: the old prices replay it.
+  price_ = good;
+  router.route(context(), out);
+  EXPECT_EQ(router.plan_rebuilds(), 1);
+  EXPECT_DOUBLE_EQ(out.hits(0, 1), 100.0);
+}
+
+TEST_F(PriceAwareRouterTest, PlanHoldsAtMostSixtyFourClusters) {
+  // Sites on a meridian west of Boston; cluster c is priced 10 + c, so
+  // it holds rank c, and the most expensive one is rank bit 63.
+  std::vector<geo::LatLon> sites;
+  for (int i = 0; i < 65; ++i) {
+    sites.push_back(geo::LatLon{30.0 + 0.2 * i, -90.0});
+  }
+  const auto one_state = std::span<const geo::StateInfo>(states_).first(1);
+  const geo::DistanceModel dm(one_state, sites);
+  PriceAwareConfig cfg;
+  cfg.distance_threshold = Km{10000.0};
+  EXPECT_THROW(PriceAwareRouter(dm, 65, cfg), std::invalid_argument);
+
+  PriceAwareRouter router(dm, 64, cfg);
+  const std::vector<double> demand = {100.0};
+  std::vector<double> price(64);
+  std::vector<double> capacity(64, 1.0);
+  for (std::size_t c = 0; c < 64; ++c) price[c] = 10.0 + static_cast<double>(c);
+  capacity[63] = 1000.0;
+  RoutingContext ctx;
+  ctx.demand = demand;
+  ctx.price = price;
+  ctx.capacity = capacity;
+  Allocation out(1, 64);
+  router.route(ctx, out);
+  for (std::size_t c = 0; c < 63; ++c) {
+    EXPECT_DOUBLE_EQ(out.hits(0, c), 1.0) << c;
+  }
+  EXPECT_DOUBLE_EQ(out.hits(0, 63), 37.0);
 }
 
 /// Sweep: cost of the chosen assignment is monotone non-increasing in
