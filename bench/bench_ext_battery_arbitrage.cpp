@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const core::Fixture& fx = bench::fixture(seed);
   core::ScenarioSpec spec{
-      .router = "price_aware+storage",
+      .router = "price-aware",
       .config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}},
       .energy = energy::google_params(),
       .workload = core::WorkloadKind::kTrace24Day,

@@ -9,9 +9,9 @@
 // settlement via ScenarioSpec::market_interval_minutes - routing,
 // billing, demand metering and the battery peak guard all follow the
 // native interval. Two figures per granularity: the price-aware savings
-// against the baseline router, and the battery-backed
-// (price_aware+storage, Lyapunov) tariff bill with exact interval
-// demand metering.
+// against the baseline router, and the tariff bill of the same
+// price-aware run with a Lyapunov battery behind the meter, under exact
+// interval demand metering.
 
 #include <vector>
 
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       .enforce_p95 = true,
   };
   core::ScenarioSpec stored = routed;
-  stored.router = "price_aware+storage";
   core::StorageSpec st;
   st.policy = "lyapunov";
   st.battery = storage::battery_for_mean_load(0.2, 4.0);

@@ -3,8 +3,8 @@
 // rolling demand target, and compare the tariff bill (wholesale-indexed
 // energy + a monthly $/kW demand charge) with and without the battery.
 //
-// Shows the storage composition surface: StorageSpec on the scenario,
-// the "price_aware+storage" router, and RunResult::storage carrying the
+// Shows the storage composition surface: StorageSpec on a "price-aware"
+// scenario (any router takes one), and RunResult::storage carrying the
 // raw vs net-of-battery accounting.
 //
 // Usage: battery_peak_shaving [seed]
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const core::Fixture fixture = core::Fixture::make(seed);
 
   core::ScenarioSpec spec{
-      .router = "price_aware+storage",
+      .router = "price-aware",
       .config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}},
       .energy = energy::google_params(),
       .workload = core::WorkloadKind::kTrace24Day,

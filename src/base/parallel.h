@@ -54,9 +54,9 @@ struct WorkerStats {
 }
 
 /// Runs fn(i) for every i in [0, n) on up to `threads` workers (the
-/// calling thread is one of them; threads <= 1 degenerates to a plain
-/// serial loop with no pool, no atomics). fn must only touch state
-/// owned by its index. Rethrows the lowest throwing index's exception
+/// calling thread is one of them; at threads <= 1 it is the only one,
+/// so indices run in order on the calling thread). fn must only touch
+/// state owned by its index. Rethrows the lowest throwing index's exception
 /// after all in-flight work has completed. `stats`, when given, reports
 /// per-worker claimed-index counts and busy time (two clock reads per
 /// index - skipped entirely when null, and never consulted for
@@ -75,19 +75,6 @@ void parallel_for_index(std::int64_t n, int threads, Fn&& fn,
     return;
   }
   threads = std::clamp<std::int64_t>(threads, 1, n);
-  if (threads == 1) {
-    if (stats == nullptr) {
-      for (std::int64_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    const clock::time_point t0 = clock::now();
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
-    stats->cells.assign(1, n);
-    stats->busy_ms.assign(1, ms_since(t0));
-    stats->wall_ms = stats->busy_ms[0];
-    return;
-  }
-
   if (stats != nullptr) {
     stats->cells.assign(static_cast<std::size_t>(threads), 0);
     stats->busy_ms.assign(static_cast<std::size_t>(threads), 0.0);

@@ -12,7 +12,6 @@
 #include "core/router_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/storage_controller.h"
 
 namespace cebis::core {
 
@@ -87,7 +86,19 @@ std::size_t Fixture::cheapest_cluster() const {
 }
 
 RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
-                 Period workload_period) {
+                 Period workload_period, obs::Taps taps) {
+  if (spec.storage.has_value() && spec.routing_prices != nullptr) {
+    // The StorageController meters StepView::billing_price, which under
+    // a routing_prices override is a synthetic objective, so the tariff
+    // bill (and the policies' price thresholds) would not be dollars.
+    // Refuse rather than bill nonsense; a real-dollar spot override on
+    // StorageSpec is the extension point if this composition is ever
+    // needed.
+    throw std::invalid_argument(
+        "run_scenarios: ScenarioSpec::storage cannot compose with a "
+        "routing_prices override (the tariff would be billed in "
+        "objective units, not dollars)");
+  }
   const RouterEntry& entry = RouterRegistry::instance().at(spec.router);
   RunPlan plan;
   plan.clusters =
@@ -98,6 +109,7 @@ RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
   plan.engine.enforce_p95 = spec.enforce_p95 && !entry.forces_relaxed_p95;
   plan.engine.capacity_factor = spec.capacity_factor;
   plan.engine.pue_of = spec.pue_of;
+  plan.engine.taps = taps;
   // An explicit routing_prices override carries its own native interval.
   const int sph = spec.routing_prices != nullptr
                       ? spec.routing_prices->samples_per_hour
@@ -105,6 +117,10 @@ RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
   plan.priced = priced_window(workload_period, spec.delay_hours,
                               spec.delay_steps, sph);
   plan.router = entry.make(fixture, spec);
+  if (spec.storage.has_value()) {
+    plan.storage = std::make_unique<storage::StorageController>(*spec.storage,
+                                                                taps.metrics);
+  }
   return plan;
 }
 
@@ -131,27 +147,13 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
   // union window per requested market resolution - so every spec in the
   // sweep reads one PriceSet per resolution and short sweeps never build
   // the full 39-month history. This runs before plan_run calls any
-  // factory, so it derives each window itself.
+  // factory, so it derives each window itself; specs carrying their own
+  // routing_prices need none.
   std::map<int, const market::PriceSet*> fixture_prices;
   {
     std::map<int, Period> needs;
     for (const ScenarioSpec& spec : specs) {
-      if (spec.routing_prices != nullptr) {
-        if (spec.storage.has_value()) {
-          // The StorageController meters StepView::billing_price, which
-          // under a routing_prices override is a synthetic objective, so
-          // the tariff bill (and the policies' price thresholds) would
-          // not be dollars. Refuse up front - before any spec in the
-          // sweep has burned engine time - rather than bill nonsense; a
-          // real-dollar spot override on StorageSpec is the extension
-          // point if this composition is ever needed.
-          throw std::invalid_argument(
-              "run_scenarios: ScenarioSpec::storage cannot compose with a "
-              "routing_prices override (the tariff would be billed in "
-              "objective units, not dollars)");
-        }
-        continue;
-      }
+      if (spec.routing_prices != nullptr) continue;
       const int sph = market_samples_per_hour(spec);
       const Period w = priced_window(scenario_period(fixture, spec),
                                      spec.delay_hours, spec.delay_steps, sph);
@@ -172,24 +174,28 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
   // happens here, so a bad spec fails the sweep before any cell runs:
   // each cell's workload and engine, router factories (static-cheapest
   // and the consolidated-cluster factory resolve Fixture::cheapest_cluster
-  // at make-time, materializing study means lazily), observer wiring
-  // decisions. After this phase every cell only reads immutable inputs.
+  // at make-time, materializing study means lazily), storage
+  // controllers and observer lists. After this phase every cell only
+  // reads immutable inputs.
 
-  /// One planned sweep cell: the engine, workload and router it owns,
-  /// and whether worker threads may run it.
+  /// One planned sweep cell: the engine, workload, router and storage
+  /// controller it owns, its observers (the spec's, then the
+  /// controller) and whether worker threads may run it.
   struct Cell {
     const ScenarioSpec* spec = nullptr;
     std::unique_ptr<Workload> workload;
     std::unique_ptr<SimulationEngine> engine;
     std::unique_ptr<Router> router;
+    std::unique_ptr<storage::StorageController> storage;
+    std::vector<StepObserver*> observers;
     bool pool_safe = true;
   };
   std::vector<Cell> cells(specs.size());
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
-    RunPlan plan = plan_run(fixture, spec, scenario_period(fixture, spec));
-    plan.engine.taps = options.taps;
+    RunPlan plan = plan_run(fixture, spec, scenario_period(fixture, spec),
+                            options.taps);
     // Fixture-priced specs bill on the resolution the
     // market_interval_minutes knob selects.
     const market::PriceSet& prices =
@@ -203,9 +209,12 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
     cell.engine = std::make_unique<SimulationEngine>(
         std::move(plan.clusters), prices, fixture.distances, plan.engine);
     cell.router = std::move(plan.router);
+    cell.storage = std::move(plan.storage);
+    cell.observers = spec.observers;
+    if (cell.storage) cell.observers.push_back(cell.storage.get());
     // Caller-supplied std::function state (observers, engine hooks) may
     // not be thread-safe; those cells stay on the calling thread. The
-    // runner-owned StorageController is per-cell, so storage cells pool.
+    // StorageController is per-cell, so storage cells pool.
     cell.pool_safe =
         spec.observers.empty() && !spec.capacity_factor && !spec.pue_of;
   }
@@ -232,8 +241,8 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   // --- Run phase (concurrent) -----------------------------------------------
   //
-  // Each cell owns its engine, workload, router, observers list and
-  // result slot, so cells never share mutable state.
+  // Each cell owns its engine, workload, router, storage controller,
+  // observers list and result slot, so cells never share mutable state.
 
   local.cell_wall_ms.assign(specs.size(), 0.0);
   auto run_cell = [&cells, &out, &options, &local, &ms_since](std::size_t i) {
@@ -242,17 +251,7 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
         options.taps.tracer, "sweep/cell", "sweep",
         {{"spec", std::to_string(i)}, {"router", cells[i].spec->router}});
     const Cell& cell = cells[i];
-    const ScenarioSpec& spec = *cell.spec;
-    if (spec.storage.has_value()) {
-      // Battery storage composes as one more observer on the run; its
-      // raw/net tariff accounting lands in RunResult::storage.
-      storage::StorageController controller(*spec.storage, options.taps.metrics);
-      std::vector<StepObserver*> observers = spec.observers;
-      observers.push_back(&controller);
-      out[i] = cell.engine->run(*cell.workload, *cell.router, observers);
-    } else {
-      out[i] = cell.engine->run(*cell.workload, *cell.router, spec.observers);
-    }
+    out[i] = cell.engine->run(*cell.workload, *cell.router, cell.observers);
     // Each cell owns its slot (spec-indexed, like `out`), so the
     // parallel fan-out writes race-free.
     local.cell_wall_ms[i] = ms_since(cell_t0);

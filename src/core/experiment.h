@@ -8,20 +8,22 @@
 // ScenarioSpec (router name + config variant + workload + constraints,
 // see core/scenario.h), and execute them - singly via run_scenario or
 // as a batched sweep via run_scenarios, which builds each scenario its
-// own engine and workload from one plan_run.
+// own engine and workload from one plan_run. plan_run is also the one
+// place a spec's StorageSpec becomes a storage::StorageController, so
+// storage composes onto any router the same way.
 //
 // Sweeps run their cells CONCURRENTLY (SweepOptions::threads, default
 // hardware_concurrency). run_scenarios is structured as a deterministic
 // serial plan phase - price prepass, cheapest-cluster resolution,
-// workload/engine/router construction, everything that can touch the
-// fixture's lazily materialized shared state - followed by a fan-out
-// phase in which every cell only reads immutable inputs and writes its
-// own pre-sized result slot, so results are byte-identical to
-// threads = 1 regardless of scheduling. Cells carrying caller-supplied
-// std::function state (observers, capacity_factor/pue_of hooks) are
-// never handed to worker threads: they execute on the calling thread,
-// in spec order, because the runner cannot prove caller code is
-// thread-safe.
+// workload/engine/router/storage construction, everything that can
+// reject a spec or touch the fixture's lazily materialized shared
+// state - followed by a fan-out phase in which every cell only reads
+// immutable inputs and writes its own pre-sized result slot, so
+// results are byte-identical to threads = 1 regardless of scheduling.
+// Cells carrying caller-supplied std::function state (observers,
+// capacity_factor/pue_of hooks) are never handed to worker threads:
+// they execute on the calling thread, in spec order, because the
+// runner cannot prove caller code is thread-safe.
 
 #include <cstdint>
 #include <memory>
@@ -33,6 +35,7 @@
 #include "core/simulation.h"
 #include "market/lazy_price_history.h"
 #include "market/market_simulator.h"
+#include "storage/storage_controller.h"
 #include "traffic/trace_generator.h"
 
 namespace cebis::core {
@@ -129,30 +132,36 @@ struct RunPlan {
   /// The fixture's clusters, or the router's override (see
   /// RouterEntry::clusters).
   std::vector<Cluster> clusters;
-  /// The spec's energy model, delays and engine hooks, with the 95/5
-  /// constraint off for routers that force it. No taps: callers add
-  /// their own.
+  /// The spec's energy model, delays and engine hooks plus the caller's
+  /// taps, with the 95/5 constraint off for routers that force it.
   EngineConfig engine;
   /// The workload period plus the delayed-routing margin (priced_window
   /// at the spec's market interval, or its routing_prices' own).
   Period priced{0, 0};
   std::unique_ptr<Router> router;
+  /// The battery behind the meter when the spec carries a StorageSpec,
+  /// else null. Attach it after the spec's own observers; its raw/net
+  /// tariff accounting lands in RunResult::storage.
+  std::unique_ptr<storage::StorageController> storage;
 };
 
 /// Resolves `spec` through the RouterRegistry for a run over
-/// `workload_period`. Throws std::invalid_argument for an unknown
-/// router, a config its factory rejects or a market interval that does
-/// not divide the hour.
+/// `workload_period`, with `taps` in the engine config and the storage
+/// controller's metrics. Throws std::invalid_argument for an unknown
+/// router, a config its factory rejects, a market interval that does
+/// not divide the hour, a StorageSpec the controller rejects, or
+/// storage composed with a routing_prices override.
 [[nodiscard]] RunPlan plan_run(const Fixture& fixture, const ScenarioSpec& spec,
-                               Period workload_period);
+                               Period workload_period, obs::Taps taps = {});
 
 /// Runs one scenario against the fixture.
 [[nodiscard]] RunResult run_scenario(const Fixture& fixture,
                                      const ScenarioSpec& spec);
 
 /// Runs a sweep, returning results in spec order. Every spec gets its
-/// own engine, workload and router, all built in the serial plan phase,
-/// so a spec that any of them rejects throws before any cell runs.
+/// own engine, workload, router and storage controller, all built in
+/// the serial plan phase, so a spec that any of them rejects throws
+/// before any cell runs.
 /// Results are identical to calling run_scenario per spec - cells run
 /// concurrently (SweepOptions::threads) but land in a pre-sized vector
 /// indexed by spec position, and the plan phase (construction, lazy

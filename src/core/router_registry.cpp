@@ -27,19 +27,6 @@ Config config_or_default(const ScenarioSpec& spec, std::string_view router) {
                               ": spec.config holds the wrong alternative");
 }
 
-/// Shared by "price-aware" and "price_aware+storage": constrained runs
-/// fall back to the baseline pipeline when candidate clusters are
-/// exhausted (see PriceAwareRouter docs).
-std::unique_ptr<Router> make_price_aware(const Fixture& f,
-                                         const ScenarioSpec& spec,
-                                         std::string_view name) {
-  const auto cfg = config_or_default<PriceAwareConfig>(spec, name);
-  const traffic::BaselineAllocation* fallback =
-      spec.enforce_p95 ? &f.allocation : nullptr;
-  return std::make_unique<PriceAwareRouter>(f.distances, f.clusters.size(), cfg,
-                                            fallback);
-}
-
 }  // namespace
 
 RouterRegistry& RouterRegistry::instance() {
@@ -92,9 +79,18 @@ void register_builtin_routers(RouterRegistry& registry) {
   registry.add("price-aware",
                RouterEntry{
                    .make =
-                       [](const Fixture& f, const ScenarioSpec& spec) {
-                         return make_price_aware(f, spec, "price-aware");
-                       },
+                       [](const Fixture& f, const ScenarioSpec& spec)
+                       -> std::unique_ptr<Router> {
+                     const auto cfg = config_or_default<PriceAwareConfig>(
+                         spec, "price-aware");
+                     // Constrained runs fall back to the baseline
+                     // pipeline when candidate clusters are exhausted
+                     // (see PriceAwareRouter docs).
+                     const traffic::BaselineAllocation* fallback =
+                         spec.enforce_p95 ? &f.allocation : nullptr;
+                     return std::make_unique<PriceAwareRouter>(
+                         f.distances, f.clusters.size(), cfg, fallback);
+                   },
                    .forces_relaxed_p95 = false,
                    .clusters = nullptr,
                });
@@ -127,26 +123,6 @@ void register_builtin_routers(RouterRegistry& registry) {
               [](const Fixture& f, const ScenarioSpec&) {
                 return consolidate_clusters(f.clusters, f.cheapest_cluster());
               },
-      });
-
-  // Price-aware routing with battery storage behind the meter at every
-  // cluster. Routing is identical to "price-aware"; the name makes the
-  // spec self-describing and rejects specs that forgot the StorageSpec
-  // the scenario runner needs to attach a StorageController.
-  registry.add(
-      "price_aware+storage",
-      RouterEntry{
-          .make =
-              [](const Fixture& f, const ScenarioSpec& spec) {
-                if (!spec.storage.has_value()) {
-                  throw std::invalid_argument(
-                      "price_aware+storage: spec.storage must be set (zero "
-                      "capacity is fine for a no-battery baseline)");
-                }
-                return make_price_aware(f, spec, "price_aware+storage");
-              },
-          .forces_relaxed_p95 = false,
-          .clusters = nullptr,
       });
 
   registry.add("joint-objective",

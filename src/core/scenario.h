@@ -41,11 +41,11 @@ struct PriceSet;
 namespace cebis::core {
 
 /// Per-scenario energy-storage composition: a battery behind the meter
-/// at every cluster, a charge/discharge policy from the PolicyRegistry,
-/// and the tariff the (raw and net-of-battery) load is billed under.
-/// When a spec carries one, the scenario runner attaches a
-/// storage::StorageController to the run and folds its raw/net tariff
-/// accounting into RunResult::storage.
+/// at every cluster, a charge/discharge policy, and the tariff the (raw
+/// and net-of-battery) load is billed under. When a spec carries one,
+/// plan_run builds a storage::StorageController for the run, whatever
+/// its router, and its raw/net tariff accounting lands in
+/// RunResult::storage.
 struct StorageSpec {
   /// Battery applied to every cluster; zero capacity means "metering
   /// only" (raw == net), the natural no-battery baseline.
@@ -53,8 +53,8 @@ struct StorageSpec {
   /// Optional per-cluster override (size must match the cluster count
   /// when non-empty).
   std::vector<storage::BatteryParams> per_cluster;
-  /// PolicyRegistry name: "arbitrage", "peak-shaving", "lyapunov", or
-  /// any registered extension.
+  /// One of the closed policy set (storage::make_policy):
+  /// "arbitrage", "peak-shaving" or "lyapunov".
   std::string policy = "lyapunov";
   storage::PolicyConfig policy_config{};
   billing::TariffSchedule tariff;
@@ -118,18 +118,17 @@ struct ScenarioSpec {
   /// stays whatever the series says - attach a SecondaryMeter over the
   /// real prices to recover dollars). Must outlive the run.
   const market::PriceSet* routing_prices = nullptr;
-  /// Engine hooks (see EngineConfig). Scenarios carrying hooks are not
-  /// engine-cache-shareable in run_scenarios.
+  /// Engine hooks (see EngineConfig). run_scenarios runs a scenario
+  /// carrying hooks on the calling thread.
   std::function<double(std::size_t, HourIndex)> capacity_factor;
   std::function<double(std::size_t, HourIndex)> pue_of;
   /// Observers attached to this scenario's run, caller-owned, invoked in
   /// order.
   std::vector<StepObserver*> observers;
-  /// Battery storage + tariff composition (see StorageSpec). The
-  /// "price_aware+storage" router requires it; any other router accepts
-  /// it as an add-on meter. Incompatible with `routing_prices` (the
-  /// tariff meters the engine's billing price, which under an override
-  /// is a synthetic objective, not dollars - run_scenarios throws).
+  /// Battery storage + tariff composition (see StorageSpec); any router
+  /// accepts it as an add-on meter. Incompatible with `routing_prices`
+  /// (the tariff meters the engine's billing price, which under an
+  /// override is a synthetic objective, not dollars - plan_run throws).
   std::optional<StorageSpec> storage;
 };
 

@@ -112,53 +112,11 @@ void encode_telemetry(std::vector<std::uint8_t>& out, const TelemetryFrame& t) {
   put(out, t.plan_rebuilds);
 }
 
-std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t) {
-  std::vector<std::uint8_t> out;
-  encode_telemetry(out, t);
-  return out;
-}
-
-TelemetryFrame decode_telemetry(std::span<const std::uint8_t> payload,
-                                std::int64_t offset) {
-  Parser p(payload, offset);
-  TelemetryFrame t;
-  t.step = p.get<std::int64_t>();
-  t.cost_so_far = p.f64();
-  t.energy_so_far = p.f64();
-  t.bill_last = p.f64();
-  t.bill_mean = p.f64();
-  t.bill_ewma = p.f64();
-  t.have_savings = p.boolean();
-  t.savings_last = p.f64();
-  t.savings_mean = p.f64();
-  t.savings_ewma = p.f64();
-  t.plan_rebuilds = p.get<std::int64_t>();
-  p.done();
-  return t;
-}
-
 void encode_seal_headroom(std::vector<std::uint8_t>& out,
                           const SealHeadroomFrame& s) {
   put(out, s.sealed_end);
   put(out, s.needed_end);
   put(out, s.steps_done);
-}
-
-std::vector<std::uint8_t> encode_seal_headroom(const SealHeadroomFrame& s) {
-  std::vector<std::uint8_t> out;
-  encode_seal_headroom(out, s);
-  return out;
-}
-
-SealHeadroomFrame decode_seal_headroom(std::span<const std::uint8_t> payload,
-                                       std::int64_t offset) {
-  Parser p(payload, offset);
-  SealHeadroomFrame s;
-  s.sealed_end = p.get<std::int64_t>();
-  s.needed_end = p.get<std::int64_t>();
-  s.steps_done = p.get<std::int64_t>();
-  p.done();
-  return s;
 }
 
 std::vector<std::uint8_t> encode_ingest_status(const IngestStatusFrame& s) {

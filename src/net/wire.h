@@ -144,25 +144,16 @@ class FrameReader : public service::codec::FrameReader<WireError> {
 
 // --- net-only payload codecs ------------------------------------------------
 //
-// Each encoder appends its payload to a caller's buffer, as
-// service::encode_record does; the one-argument form returns it as an
-// owned vector. decode_* take the frame's payload and the offset its
+// The server's per-step frames (telemetry, seal headroom) append their
+// payload to a caller's buffer, as service::encode_record does; the
+// ingest status, sent once per feed, returns an owned vector.
+// decode_ingest_status takes the frame's payload and the offset its
 // frame began at (for WireError provenance), mirroring
 // service::decode_record.
 
 void encode_telemetry(std::vector<std::uint8_t>& out, const TelemetryFrame& t);
-[[nodiscard]] std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t);
-// cebis-lint: allow(unreferenced-api) owns the frame format
-[[nodiscard]] TelemetryFrame decode_telemetry(
-    std::span<const std::uint8_t> payload, std::int64_t offset);
-
 void encode_seal_headroom(std::vector<std::uint8_t>& out,
                           const SealHeadroomFrame& s);
-[[nodiscard]] std::vector<std::uint8_t> encode_seal_headroom(
-    const SealHeadroomFrame& s);
-// cebis-lint: allow(unreferenced-api) owns the frame format
-[[nodiscard]] SealHeadroomFrame decode_seal_headroom(
-    std::span<const std::uint8_t> payload, std::int64_t offset);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_ingest_status(
     const IngestStatusFrame& s);

@@ -125,6 +125,7 @@ core::ScenarioSpec scenario_of(const SessionSpec& spec) {
   out.delay_hours = spec.delay_hours;
   out.delay_steps = spec.delay_steps;
   out.market_interval_minutes = 60 / spec.samples_per_hour;
+  out.storage = spec.storage;
   return out;
 }
 

@@ -81,7 +81,7 @@ struct SessionSpec {
 };
 
 /// The ScenarioSpec a session runs as (router, config, energy model,
-/// 95/5 and delays at the tick stream's interval). Throws
+/// 95/5, delays and storage at the tick stream's interval). Throws
 /// std::invalid_argument when samples_per_hour does not divide the hour.
 [[nodiscard]] core::ScenarioSpec scenario_of(const SessionSpec& spec);
 

@@ -188,8 +188,8 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
     throw std::invalid_argument("LiveEngine: empty period");
   }
   const core::ScenarioSpec spec = scenario_of(config);
-  core::RunPlan plan = core::plan_run(fixture, spec, config.period);
-  plan.engine.taps = config.taps;
+  core::RunPlan plan =
+      core::plan_run(fixture, spec, config.period, config.taps);
 
   std::vector<HubId> tracked;
   tracked.reserve(plan.clusters.size());
@@ -205,6 +205,7 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
   Impl& im = *impl_;
   im.log = log;
   im.router = std::move(plan.router);
+  im.controller = std::move(plan.storage);
   im.tracer = config.taps.tracer;
   if (config.taps.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config.taps.metrics;
@@ -233,11 +234,7 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
     im.observers.push_back(im.recorder.get());
   }
-  if (config.storage.has_value()) {
-    im.controller = std::make_unique<storage::StorageController>(
-        *config.storage, config.taps.metrics);
-    im.observers.push_back(im.controller.get());
-  }
+  if (im.controller) im.observers.push_back(im.controller.get());
   im.log_observer =
       std::make_unique<EventLogObserver>(log, im.controller.get());
   im.observers.push_back(im.log_observer.get());
@@ -256,12 +253,13 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
 
   if (config.shadow_baseline) {
     // The baseline defines the reference, so its plan runs unconstrained
-    // on the fixture clusters.
+    // on the fixture clusters, with no battery.
     core::ScenarioSpec baseline = spec;
     baseline.router = "baseline";
     baseline.config = std::monostate{};
-    core::RunPlan shadow = core::plan_run(fixture, baseline, config.period);
-    shadow.engine.taps = config.taps;
+    baseline.storage.reset();
+    core::RunPlan shadow =
+        core::plan_run(fixture, baseline, config.period, config.taps);
     im.shadow_engine = std::make_unique<core::SimulationEngine>(
         std::move(shadow.clusters), im.assembler.set(), fixture.distances,
         shadow.engine);

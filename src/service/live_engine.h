@@ -109,11 +109,11 @@ struct LiveTelemetry {
 
 class LiveEngine {
  public:
-  /// Builds clusters/router/engine through core::plan_run, as the
-  /// scenario runner does, opens the session, and - when `log` is
-  /// given - writes the SessionMeta frame. `log` and `fixture` must
-  /// outlive the LiveEngine. Throws std::invalid_argument on a config
-  /// the service mode cannot honour.
+  /// Builds clusters, router, engine and storage controller through
+  /// core::plan_run, as the scenario runner does, opens the session,
+  /// and - when `log` is given - writes the SessionMeta frame. `log`
+  /// and `fixture` must outlive the LiveEngine. Throws
+  /// std::invalid_argument on a config the service mode cannot honour.
   LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
              EventLogWriter* log = nullptr);
   ~LiveEngine();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 namespace cebis::storage {
 
@@ -41,8 +41,6 @@ class ArbitragePolicy final : public ChargePolicy {
     return 0.0;
   }
 
-  [[nodiscard]] std::string_view name() const override { return "arbitrage"; }
-
  private:
   ArbitrageConfig cfg_;
 };
@@ -74,8 +72,6 @@ class PeakShavingPolicy final : public ChargePolicy {
     // only up to the target, so charging never creates a new peak.
     return (target_mw - load_mw) * ctx.dt.value();
   }
-
-  [[nodiscard]] std::string_view name() const override { return "peak-shaving"; }
 
  private:
   PeakShavingConfig cfg_;
@@ -139,8 +135,6 @@ class LyapunovPolicy final : public ChargePolicy {
     return 0.0;
   }
 
-  [[nodiscard]] std::string_view name() const override { return "lyapunov"; }
-
  private:
   LyapunovConfig cfg_;
   double theta_ = 0.0;
@@ -151,59 +145,22 @@ class LyapunovPolicy final : public ChargePolicy {
 
 }  // namespace
 
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry* registry = [] {
-    auto* r = new PolicyRegistry();
-    register_builtin_policies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void PolicyRegistry::add(std::string name, Factory factory) {
-  if (name.empty()) throw std::invalid_argument("PolicyRegistry: empty name");
-  if (!factory) {
-    throw std::invalid_argument("PolicyRegistry: '" + name + "' has no factory");
-  }
-  const auto [it, inserted] = entries_.emplace(std::move(name), std::move(factory));
-  if (!inserted) {
-    throw std::invalid_argument("PolicyRegistry: '" + it->first +
-                                "' already registered");
-  }
-}
-
-bool PolicyRegistry::contains(std::string_view name) const noexcept {
-  return entries_.find(name) != entries_.end();
-}
-
-std::unique_ptr<ChargePolicy> PolicyRegistry::make(
-    std::string_view name, const PolicyConfig& config) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw std::invalid_argument("PolicyRegistry: unknown policy '" +
-                                std::string(name) + "'");
-  }
-  return it->second(config);
-}
-
-void register_builtin_policies(PolicyRegistry& registry) {
-  registry.add("arbitrage", [](const PolicyConfig& config) {
-    return std::make_unique<ArbitragePolicy>(
-        config_or_default<ArbitrageConfig>(config, "arbitrage"));
-  });
-  registry.add("peak-shaving", [](const PolicyConfig& config) {
-    return std::make_unique<PeakShavingPolicy>(
-        config_or_default<PeakShavingConfig>(config, "peak-shaving"));
-  });
-  registry.add("lyapunov", [](const PolicyConfig& config) {
-    return std::make_unique<LyapunovPolicy>(
-        config_or_default<LyapunovConfig>(config, "lyapunov"));
-  });
-}
-
 std::unique_ptr<ChargePolicy> make_policy(std::string_view name,
                                           const PolicyConfig& config) {
-  return PolicyRegistry::instance().make(name, config);
+  if (name == "arbitrage") {
+    return std::make_unique<ArbitragePolicy>(
+        config_or_default<ArbitrageConfig>(config, name));
+  }
+  if (name == "peak-shaving") {
+    return std::make_unique<PeakShavingPolicy>(
+        config_or_default<PeakShavingConfig>(config, name));
+  }
+  if (name == "lyapunov") {
+    return std::make_unique<LyapunovPolicy>(
+        config_or_default<LyapunovConfig>(config, name));
+  }
+  throw std::invalid_argument("make_policy: unknown policy '" +
+                              std::string(name) + "'");
 }
 
 }  // namespace cebis::storage

@@ -10,7 +10,8 @@
 // clamps the intent against the battery's physical limits, so policies
 // can over-ask freely.
 //
-// Three built-ins mirror the storage literature the ROADMAP names:
+// The policy set is closed; make_policy builds its three members by
+// name, mirroring the storage literature the ROADMAP names:
 //  - "arbitrage":    greedy price thresholds (buy below, discharge above)
 //  - "peak-shaving": flatten the grid draw toward a rolling demand
 //                    target, the move that attacks demand-charge tariffs
@@ -19,15 +20,10 @@
 //                    tighten as the state of charge rises (Urgaonkar et
 //                    al., arXiv:1103.3099)
 //
-// Policies register by name in a PolicyRegistry mirroring the
-// RouterRegistry idiom, so scenario specs select them declaratively.
 // This header depends only on base/ + battery.h (core/scenario.h
 // includes it for the PolicyConfig variant).
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <variant>
 
@@ -57,8 +53,6 @@ class ChargePolicy {
   /// < 0 discharge (serve load from the battery). The controller clamps
   /// to the battery's power/energy limits and to the actual load.
   [[nodiscard]] virtual double decide(const PolicyContext& ctx) = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
 // --- per-policy configuration ----------------------------------------------
@@ -109,44 +103,15 @@ struct LyapunovConfig {
 };
 
 /// std::monostate = the policy's defaults; a populated alternative must
-/// match the policy named in the spec (the factory throws otherwise).
+/// match the policy named in the spec (make_policy throws otherwise).
 using PolicyConfig = std::variant<std::monostate, ArbitrageConfig,
                                   PeakShavingConfig, LyapunovConfig>;
 
-// --- registry ---------------------------------------------------------------
-
-class PolicyRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<ChargePolicy>(const PolicyConfig&)>;
-
-  /// Creates an empty registry (for tests); the process-wide instance()
-  /// comes pre-loaded with the three built-ins.
-  PolicyRegistry() = default;
-
-  /// The process-wide registry: "arbitrage", "peak-shaving", "lyapunov".
-  [[nodiscard]] static PolicyRegistry& instance();
-
-  /// Throws std::invalid_argument on an empty name, a missing factory,
-  /// or a duplicate registration.
-  void add(std::string name, Factory factory);
-
-  [[nodiscard]] bool contains(std::string_view name) const noexcept;
-
-  /// Builds the named policy. Throws std::invalid_argument for unknown
-  /// names or a config variant that does not match the policy.
-  [[nodiscard]] std::unique_ptr<ChargePolicy> make(
-      std::string_view name, const PolicyConfig& config) const;
-
- private:
-  std::map<std::string, Factory, std::less<>> entries_;
-};
-
-/// Registers the three built-in policies (what instance() does on first
-/// use).
-void register_builtin_policies(PolicyRegistry& registry);
-
-/// Convenience over PolicyRegistry::instance().make().
+/// Builds the named policy: "arbitrage", "peak-shaving" or "lyapunov",
+/// each from its own PolicyConfig alternative (monostate = defaults).
+/// Throws std::invalid_argument for any other name, a config
+/// alternative that does not match the policy, or a config the policy
+/// rejects.
 [[nodiscard]] std::unique_ptr<ChargePolicy> make_policy(
     std::string_view name, const PolicyConfig& config = {});
 

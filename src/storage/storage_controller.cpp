@@ -13,18 +13,17 @@ namespace cebis::storage {
 StorageController::StorageController(core::StorageSpec spec,
                                      obs::MetricsRegistry* metrics)
     : spec_(std::move(spec)), metrics_(metrics) {
-  if (!PolicyRegistry::instance().contains(spec_.policy)) {
-    throw std::invalid_argument("StorageController: unknown policy '" +
-                                spec_.policy + "'");
-  }
-  // Validate battery parameters and the policy config eagerly so a bad
-  // spec fails at construction, not mid-sweep - including begin()-time
-  // checks like the Lyapunov band-vs-efficiency guard.
+  // Validate the policy, the battery parameters and the policy config
+  // eagerly so a bad spec fails at construction, not mid-run - an
+  // unknown policy name first, then each battery and the begin()-time
+  // checks it meets, like the Lyapunov band-vs-efficiency guard.
+  const std::unique_ptr<ChargePolicy> policy =
+      make_policy(spec_.policy, spec_.policy_config);
   (void)Battery(spec_.battery);
-  make_policy(spec_.policy, spec_.policy_config)->begin(spec_.battery);
+  policy->begin(spec_.battery);
   for (const BatteryParams& p : spec_.per_cluster) {
     (void)Battery(p);
-    make_policy(spec_.policy, spec_.policy_config)->begin(p);
+    policy->begin(p);
   }
 }
 

@@ -43,9 +43,11 @@
 //
 // The controller never influences routing or the engine's own dollar
 // accounting - it composes with SecondaryMeter and HourlyEnergyRecorder
-// like any other observer. Scenarios normally engage it declaratively
-// via ScenarioSpec::storage (run_scenarios attaches one per run), but
-// it can be attached by hand like any StepObserver.
+// like any other observer. Scenarios engage it declaratively via
+// ScenarioSpec::storage: core::plan_run builds one per run, for the
+// scenario runner and the live engine alike, and the runner attaches it
+// after the spec's own observers. It can also be attached by hand like
+// any StepObserver.
 
 #include <functional>
 #include <memory>
@@ -114,8 +116,10 @@ class RunningOrderStatistic {
 
 class StorageController final : public core::StepObserver {
  public:
-  /// Validates the spec eagerly (policy name, per-cluster override
-  /// shape is checked at run begin). Throws std::invalid_argument.
+  /// Validates the spec eagerly: the policy name first, then every
+  /// battery and the policy's config against it (the per-cluster
+  /// override's shape is checked at run begin). Throws
+  /// std::invalid_argument.
   /// `metrics`, when given (borrowed, may be null), receives the
   /// charge-guard activation counter - incremented whenever the
   /// demand-charge guard clips a policy's charge intent. Write-only:

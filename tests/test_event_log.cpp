@@ -615,8 +615,10 @@ TEST(EventLog, NetFramesMatchGoldenBytes) {
   t.savings_mean = -0.25;
   t.savings_ewma = 0.0625;
   t.plan_rebuilds = 24;
+  std::vector<std::uint8_t> payload;
+  net::encode_telemetry(payload, t);
   EXPECT_EQ(frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kTelemetry),
-                      net::encode_telemetry(t)),
+                      payload),
             "20" "51000000"
             "200100000000000000000000004a93400000000000d0504000000000000012"
             "400000000000001140000000000080104001000000000000e03f0000000000"
@@ -625,9 +627,11 @@ TEST(EventLog, NetFramesMatchGoldenBytes) {
 
   const net::SealHeadroomFrame s{
       .sealed_end = 5000, .needed_end = 4990, .steps_done = 12};
+  payload.clear();
+  net::encode_seal_headroom(payload, s);
   EXPECT_EQ(
       frame_hex(static_cast<std::uint8_t>(net::NetFrameType::kSealHeadroom),
-                net::encode_seal_headroom(s)),
+                payload),
       "21" "18000000"
       "88130000000000007e130000000000000c00000000000000"
       "1fea34bd");

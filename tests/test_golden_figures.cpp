@@ -110,7 +110,7 @@ TEST_F(GoldenFigures, LyapunovStorageBeatsZeroBattery) {
   // (energy arbitrage nets the gain; the peak guard keeps the demand
   // component within a sliver of raw).
   ScenarioSpec spec{
-      .router = "price_aware+storage",
+      .router = "price-aware",
       .config = PriceAwareConfig{.distance_threshold = Km{1500.0}},
       .energy = energy::google_params(),
       .workload = WorkloadKind::kTrace24Day,

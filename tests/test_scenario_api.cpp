@@ -291,7 +291,7 @@ TEST_F(ScenarioApiTest, ParallelSweepMatchesSerialByteForByte) {
   }
   {
     ScenarioSpec st = base;
-    st.router = "price_aware+storage";
+    st.router = "price-aware";
     st.config = PriceAwareConfig{.distance_threshold = Km{1500.0}};
     StorageSpec storage;
     storage.battery = storage::battery_for_mean_load(0.2, 4.0);
@@ -463,6 +463,32 @@ TEST_F(ScenarioApiTest, ObserversRunInAttachmentOrder) {
   // Every step reached both observers.
   EXPECT_EQ(steps1, trace_period().hours() * 12);
   EXPECT_EQ(steps1, steps2);
+}
+
+TEST_F(ScenarioApiTest, BadStorageSpecFailsBeforeAnyCellRuns) {
+  // plan_run builds every cell's storage controller in the serial plan
+  // phase, so a StorageSpec it rejects fails the sweep before the
+  // observed cell ahead of it (pinned, so it would run first) begins.
+  std::vector<int> journal;
+  std::int64_t steps = 0;
+  ProbeObserver probe(1, journal, steps);
+  ScenarioSpec observed{
+      .router = "price-aware",
+      .energy = energy::google_params(),
+      .workload = WorkloadKind::kTrace24Day,
+  };
+  observed.observers = {&probe};
+  ScenarioSpec bad = observed;
+  bad.observers.clear();
+  bad.storage = StorageSpec{};
+  bad.storage->policy = "no-such-policy";
+  const ScenarioSpec specs[] = {observed, bad};
+
+  EXPECT_THROW(
+      (void)run_scenarios(*fixture_, specs, SweepOptions{.threads = 4}),
+      std::invalid_argument);
+  EXPECT_TRUE(journal.empty()) << "on_run_begin reached the observed cell";
+  EXPECT_EQ(steps, 0);
 }
 
 TEST_F(ScenarioApiTest, StackedObserversMatchSoloRuns) {

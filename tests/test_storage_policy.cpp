@@ -1,12 +1,16 @@
-// Charge/discharge policies: registry round-trips, config plumbing, and
-// the behavioural contracts of the three built-ins (arbitrage bands,
-// peak-shaving's rolling target, the Lyapunov thresholds tightening
-// with state of charge and keeping the 1/eta conversion margin).
+// Charge/discharge policies: the closed set make_policy builds by name,
+// config plumbing, and the behavioural contracts of the three built-ins
+// (arbitrage bands, peak-shaving's rolling target, the Lyapunov
+// thresholds tightening with state of charge and keeping the 1/eta
+// conversion margin).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 
 #include "storage/policy.h"
 #include "test_support.h"
@@ -34,45 +38,49 @@ PolicyContext context(const Battery& b, double price, double load_mwh,
   return ctx;
 }
 
-// --- registry ---------------------------------------------------------------
+// --- the named policy set ----------------------------------------------------
 
 TEST(PolicyRegistry, ListsTheThreeBuiltins) {
-  PolicyRegistry& reg = PolicyRegistry::instance();
   for (const char* name : {"arbitrage", "peak-shaving", "lyapunov"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
+    EXPECT_NO_THROW((void)make_policy(name)) << name;
   }
-  EXPECT_FALSE(reg.contains("no-such-policy"));
+  EXPECT_THROW((void)make_policy("no-such-policy"), std::invalid_argument);
 }
 
 TEST(PolicyRegistry, RoundTripConstructsEveryPolicy) {
-  for (const char* name : {"arbitrage", "peak-shaving", "lyapunov"}) {
-    const auto policy = make_policy(name);
-    ASSERT_NE(policy, nullptr) << name;
-    EXPECT_EQ(policy->name(), name);
+  // Each name builds the policy that owns its config alternative: the
+  // matching alternative is taken, the other two are refused.
+  const PolicyConfig configs[] = {ArbitrageConfig{}, PeakShavingConfig{},
+                                  LyapunovConfig{}};
+  const char* names[] = {"arbitrage", "peak-shaving", "lyapunov"};
+  for (std::size_t n = 0; n < std::size(names); ++n) {
+    ASSERT_NE(make_policy(names[n]), nullptr) << names[n];
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+      if (c == n) {
+        EXPECT_NE(make_policy(names[n], configs[c]), nullptr) << names[n];
+      } else {
+        EXPECT_THROW((void)make_policy(names[n], configs[c]),
+                     std::invalid_argument)
+            << names[n] << " with config alternative " << c;
+      }
+    }
   }
 }
 
 TEST(PolicyRegistry, RejectsBadInput) {
-  EXPECT_THROW((void)make_policy("no-such-policy"), std::invalid_argument);
+  // The policy set is closed: any other name is refused, naming it.
+  try {
+    (void)make_policy("no-such-policy");
+    FAIL() << "an unknown policy must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'no-such-policy'"),
+              std::string::npos)
+        << e.what();
+  }
   // Config mismatches are hard errors, mirroring the RouterRegistry.
   EXPECT_THROW((void)make_policy("arbitrage", PeakShavingConfig{}),
                std::invalid_argument);
   EXPECT_THROW((void)make_policy("lyapunov", ArbitrageConfig{}),
-               std::invalid_argument);
-
-  PolicyRegistry local;
-  EXPECT_THROW(local.add("", [](const PolicyConfig&) {
-    return std::unique_ptr<ChargePolicy>{};
-  }),
-               std::invalid_argument);
-  EXPECT_THROW(local.add("nameless", PolicyRegistry::Factory{}),
-               std::invalid_argument);
-  local.add("dup",
-            [](const PolicyConfig&) { return std::unique_ptr<ChargePolicy>{}; });
-  EXPECT_THROW(local.add("dup",
-                         [](const PolicyConfig&) {
-                           return std::unique_ptr<ChargePolicy>{};
-                         }),
                std::invalid_argument);
 }
 

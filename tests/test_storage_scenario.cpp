@@ -1,16 +1,16 @@
 // End-to-end battery storage: the StorageController observer driven
 // both standalone (synthetic price/load traces - the arbitrage
 // never-loses-money property) and through the ScenarioSpec pipeline
-// ("price_aware+storage" registry entry, zero-capacity baselines,
-// peak shaving's demand-charge reduction, sweep determinism).
+// (storage on a price-aware run, zero-capacity baselines, peak
+// shaving's demand-charge reduction, sweep determinism).
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/router_registry.h"
 #include "storage/storage_controller.h"
 #include "test_support.h"
 
@@ -30,7 +30,7 @@ class StorageScenarioTest : public ::testing::Test {
 
   static core::ScenarioSpec storage_spec() {
     core::ScenarioSpec spec{
-        .router = "price_aware+storage",
+        .router = "price-aware",
         .config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}},
         .energy = energy::google_params(),
         .workload = core::WorkloadKind::kTrace24Day,
@@ -188,6 +188,16 @@ TEST(StorageController, RejectsBadSpecs) {
   core::StorageSpec spec;
   spec.policy = "no-such-policy";
   EXPECT_THROW(StorageController{spec}, std::invalid_argument);
+  // The policy name is checked before any battery: a spec wrong both
+  // ways is refused for its policy.
+  spec.battery.round_trip_efficiency = 2.0;
+  try {
+    StorageController controller(spec);
+    FAIL() << "an unknown policy must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no-such-policy"), std::string::npos)
+        << e.what();
+  }
   spec = core::StorageSpec{};
   spec.battery.round_trip_efficiency = 2.0;
   EXPECT_THROW(StorageController{spec}, std::invalid_argument);
@@ -213,13 +223,6 @@ TEST(StorageController, RejectsBadSpecs) {
 
 // --- through the scenario pipeline ------------------------------------------
 
-TEST_F(StorageScenarioTest, RegistryEntryRequiresStorageSpec) {
-  EXPECT_TRUE(core::RouterRegistry::instance().contains("price_aware+storage"));
-  core::ScenarioSpec spec = storage_spec();
-  spec.storage.reset();
-  EXPECT_THROW((void)core::run_scenario(*fixture_, spec), std::invalid_argument);
-}
-
 TEST_F(StorageScenarioTest, RefusesRoutingPriceOverrides) {
   // Under a routing_prices override the billing price is a synthetic
   // objective - a tariff billed in those units would be nonsense, so
@@ -234,7 +237,6 @@ TEST_F(StorageScenarioTest, RoutesExactlyLikePriceAware) {
   // own wholesale accounting are identical to plain "price-aware".
   const core::ScenarioSpec with_storage = storage_spec();
   core::ScenarioSpec plain = with_storage;
-  plain.router = "price-aware";
   plain.storage.reset();
 
   const core::RunResult a = core::run_scenario(*fixture_, with_storage);
@@ -265,7 +267,6 @@ TEST_F(StorageScenarioTest, ZeroCapacityMetersRawEqualsNet) {
 TEST_F(StorageScenarioTest, SweepWithStorageMatchesSoloRuns) {
   const core::ScenarioSpec with_storage = storage_spec();
   core::ScenarioSpec plain = with_storage;
-  plain.router = "price-aware";
   plain.storage.reset();
 
   const core::ScenarioSpec specs[] = {plain, with_storage, plain};

@@ -352,11 +352,11 @@ TEST_F(SubHourlyScenarioTest, NativeIntervalRecorderAgreesWithHourlyRecorder) {
 }
 
 TEST_F(SubHourlyScenarioTest, StorageRunsEndToEndAtFiveMinuteResolution) {
-  // ISSUE 5 acceptance: a price_aware+storage scenario at 5-minute
-  // market resolution, metered and billed on the native interval, with
-  // the exact charge guard keeping billed net demand at or below raw.
+  // A price-aware scenario with storage at 5-minute market resolution,
+  // metered and billed on the native interval, with the exact charge
+  // guard keeping billed net demand at or below raw.
   ScenarioSpec spec{
-      .router = "price_aware+storage",
+      .router = "price-aware",
       .config = PriceAwareConfig{.distance_threshold = Km{1500.0}},
       .energy = energy::google_params(),
       .workload = WorkloadKind::kTrace24Day,
